@@ -11,7 +11,6 @@ from .assembly import (
     ProblemCoefficients,
     assemble_cdr,
     assemble_poisson,
-    element_matrices,
     load_vector,
     load_vector_from_solution,
 )
@@ -34,6 +33,7 @@ from .mesh import (
     Mesh1D,
     MeshKind,
     ShishkinParams,
+    build_mesh,
     build_shishkin,
     build_uniform,
     check_assumption,
@@ -80,11 +80,11 @@ __all__ = [
     "TridiagonalMatrix",
     "assemble_cdr",
     "assemble_poisson",
+    "build_mesh",
     "build_shishkin",
     "build_uniform",
     "check_assumption",
     "convergence_rate",
-    "element_matrices",
     "exact_f",
     "exact_u",
     "exact_w",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_at_least, check_epsilon, check_positive
 from .mesh import Mesh1D
 from .tridiag import TridiagonalMatrix
 
@@ -36,23 +36,17 @@ class ProblemCoefficients:
     b: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon <= 1.0):
-            raise InvalidParameterError(
-                "epsilon", f"must be in (0, 1], got {self.epsilon}"
-            )
-        if not self.a > 0.0:
-            raise InvalidParameterError("a", f"must be > 0, got {self.a}")
-        if not self.b >= 0.0:
-            raise InvalidParameterError("b", f"must be >= 0, got {self.b}")
+        check_epsilon("epsilon", self.epsilon)
+        check_positive("a", self.a)
+        check_at_least("b", self.b, 0.0)
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Interior-node operator, optional right-hand side, and its mesh."""
+    """Interior-node operator and its mesh."""
 
     matrix: TridiagonalMatrix
     mesh: Mesh1D
-    rhs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.matrix.n != self.mesh.n_interior:
@@ -61,22 +55,6 @@ class AssembledSystem:
                 f"dimension {self.matrix.n} != interior node count "
                 f"{self.mesh.n_interior}",
             )
-        if self.rhs is not None and self.rhs.shape != (self.matrix.n,):
-            raise InvalidParameterError("rhs", "length must match matrix dimension")
-
-
-def element_matrices(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local 2x2 (stiffness, convection, mass) blocks on one element.
-
-    stiffness = (1/h) [[1, -1], [-1, 1]], convection[i][j] = integral of
-    phi_j' phi_i (h-independent), mass = (h/6) [[2, 1], [1, 2]].
-    """
-    if not h > 0.0:
-        raise InvalidParameterError("h", f"must be > 0, got {h}")
-    stiffness = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
-    convection = np.array([[-0.5, 0.5], [-0.5, 0.5]])
-    mass = np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
-    return stiffness, convection, mass
 
 
 def assemble_poisson(mesh: Mesh1D) -> AssembledSystem:
@@ -84,7 +62,7 @@ def assemble_poisson(mesh: Mesh1D) -> AssembledSystem:
     h = mesh.element_lengths
     diag = 1.0 / h[:-1] + 1.0 / h[1:]
     off = -1.0 / h[1:-1]
-    matrix = TridiagonalMatrix(sub=off, diag=diag, sup=off.copy())
+    matrix = TridiagonalMatrix(sub=off, diag=diag, sup=off)
     return AssembledSystem(matrix=matrix, mesh=mesh)
 
 

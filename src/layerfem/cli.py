@@ -9,6 +9,7 @@ byte-identical except for the timing columns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import numpy as np
 from .assembly import ProblemCoefficients
 from .errors import InvalidParameterError, NumericalFailure
 from .experiments import Measurement, SweepConfig, run_sweep
-from .mesh import MeshKind, ShishkinParams, build_shishkin, build_uniform
+from .mesh import MeshKind, build_mesh
 from .oracle import exact_u, exact_w_polynomial, make_exact_model
 from .solver import solve_fourth_order
 
@@ -46,21 +47,14 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_MEASUREMENTS = {m.value: m for m in Measurement}
 
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind: type) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise InvalidParameterError(flag, f"not a comma-list of numbers: {text!r}")
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidParameterError(flag, f"not a comma-list of integers: {text!r}")
+        raise InvalidParameterError(
+            flag, f"not a comma-list of {kind.__name__}s: {text!r}"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mesh", choices=["uniform", "shishkin", "both"], default=None)
     sweep.add_argument("--sigma", type=float, default=None)
     sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument("--measurement", choices=sorted(_MEASUREMENTS), default=None)
+    sweep.add_argument(
+        "--measurement", choices=[m.value for m in Measurement], default=None
+    )
     sweep.add_argument("--timing-repeats", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sweep.add_argument("--output", default=None)
@@ -131,21 +127,11 @@ def _fmt(value: float) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     coeffs = ProblemCoefficients(epsilon=args.epsilon, a=args.a, b=args.b)
-    if args.mesh == "uniform":
-        mesh = build_uniform(args.n)
-    else:
-        mesh = build_shishkin(
-            ShishkinParams(
-                n_intervals=args.n,
-                epsilon=args.epsilon,
-                alpha=args.alpha,
-                sigma=args.sigma,
-            )
-        )
+    mesh = build_mesh(args.mesh, args.n, args.epsilon, args.sigma, args.alpha)
     if args.f_poly is None:
         poly = (1.0,)
     else:
-        poly = _parse_float_list(args.f_poly, "--f-poly")
+        poly = _parse_list(args.f_poly, "--f-poly", float)
 
     def f(x):
         return sum(c * np.asarray(x, dtype=float) ** k for k, c in enumerate(poly))
@@ -169,15 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_json_config(path: str) -> dict:
-    allowed = {
-        "epsilons",
-        "n_values",
-        "mesh_kinds",
-        "sigma",
-        "alpha",
-        "measurement",
-        "timing_repeats",
-    }
+    allowed = {f.name for f in dataclasses.fields(SweepConfig)}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -206,9 +184,9 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
 
     # inline flags override preset/file values
     if args.epsilon is not None:
-        fields["epsilons"] = _parse_float_list(args.epsilon, "--epsilon")
+        fields["epsilons"] = _parse_list(args.epsilon, "--epsilon", float)
     if args.n is not None:
-        fields["n_values"] = _parse_int_list(args.n, "--n")
+        fields["n_values"] = _parse_list(args.n, "--n", int)
     if args.mesh is not None:
         fields["mesh_kinds"] = (
             (MeshKind.UNIFORM, MeshKind.SHISHKIN)
@@ -220,7 +198,7 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     if args.alpha is not None:
         fields["alpha"] = args.alpha
     if args.measurement is not None:
-        fields["measurement"] = _MEASUREMENTS[args.measurement]
+        fields["measurement"] = args.measurement
     if args.timing_repeats is not None:
         fields["timing_repeats"] = args.timing_repeats
 
@@ -228,8 +206,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         raise InvalidParameterError(
             "--epsilon/--n", "required unless supplied by --preset or --config"
         )
-    if not fields["n_values"]:
-        raise InvalidParameterError("n_values", "must not be empty")
     try:
         return SweepConfig(**fields)
     except TypeError as exc:
@@ -238,8 +214,6 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _sweep_config(args)
-    if args.jobs < 1:
-        raise InvalidParameterError("--jobs", f"must be >= 1, got {args.jobs}")
     records = run_sweep(config, jobs=args.jobs)
     lines = ["epsilon,N,mesh,max_error,rate,assembly_s,solve_s,assumption_ok"]
     for r in records:
@@ -266,14 +240,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh_dump(args: argparse.Namespace) -> int:
-    mesh = build_shishkin(
-        ShishkinParams(
-            n_intervals=args.n,
-            epsilon=args.epsilon,
-            alpha=args.alpha,
-            sigma=args.sigma,
-        )
-    )
+    mesh = build_mesh(MeshKind.SHISHKIN, args.n, args.epsilon, args.sigma, args.alpha)
     lines = [f"# tau={_fmt(mesh.tau)}", "index,x"]
     lines.extend(f"{i},{_fmt(x)}" for i, x in enumerate(mesh.nodes))
     _write_lines(args.output, lines)

@@ -11,15 +11,14 @@ from enum import Enum
 import numpy as np
 
 from .assembly import ProblemCoefficients
-from .errors import InvalidParameterError
-from .mesh import (
-    Mesh1D,
-    MeshKind,
-    ShishkinParams,
-    build_shishkin,
-    build_uniform,
-    check_assumption,
+from .errors import (
+    InvalidParameterError,
+    check_at_least,
+    check_epsilon,
+    check_n_intervals,
+    check_positive,
 )
+from .mesh import MeshKind, ShishkinParams, build_mesh, check_assumption
 from .oracle import ExactModel, exact_f, exact_u, make_exact_model
 from .solver import FemSolution, solve_fourth_order
 
@@ -72,25 +71,20 @@ class SweepConfig:
         )
         object.__setattr__(self, "measurement", Measurement(self.measurement))
         for e in self.epsilons:
-            if not (0.0 < e <= 1.0):
-                raise InvalidParameterError("epsilons", f"must be in (0, 1], got {e}")
+            check_epsilon("epsilons", e)
+        if not self.n_values:
+            raise InvalidParameterError("n_values", "must not be empty")
+        for n in self.n_values:
+            check_n_intervals("n_values", n)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise InvalidParameterError("n_values", "must be strictly ascending")
-        for n in self.n_values:
-            if n < 4 or n % 2 != 0:
-                raise InvalidParameterError("n_values", f"must be even >= 4, got {n}")
         if not self.mesh_kinds:
             raise InvalidParameterError("mesh_kinds", "must not be empty")
         if len(set(self.mesh_kinds)) != len(self.mesh_kinds):
             raise InvalidParameterError("mesh_kinds", "must not repeat")
-        if self.sigma < 2.0:
-            raise InvalidParameterError("sigma", f"must be >= 2, got {self.sigma}")
-        if self.alpha <= 0.0:
-            raise InvalidParameterError("alpha", f"must be > 0, got {self.alpha}")
-        if self.timing_repeats < 1:
-            raise InvalidParameterError(
-                "timing_repeats", f"must be >= 1, got {self.timing_repeats}"
-            )
+        check_at_least("sigma", self.sigma, 2.0)
+        check_positive("alpha", self.alpha)
+        check_at_least("timing_repeats", self.timing_repeats, 1)
 
 
 def max_error(
@@ -124,21 +118,10 @@ def convergence_rate(error_fine: float, error_coarse: float) -> float | None:
     return math.log2(error_coarse / error_fine)
 
 
-def _build_mesh(
-    kind: MeshKind, n: int, epsilon: float, sigma: float, alpha: float
-) -> Mesh1D:
-    if kind is MeshKind.UNIFORM:
-        return build_uniform(n)
-    return build_shishkin(
-        ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
-    )
-
-
 def _run_cell(args: tuple) -> tuple[float, float, float, bool]:
     """One (epsilon, N, kind) cell: returns error and median stage timings."""
     epsilon, n, kind, sigma, alpha, measurement, repeats = args
-    kind = MeshKind(kind)
-    mesh = _build_mesh(kind, n, epsilon, sigma, alpha)
+    mesh = build_mesh(kind, n, epsilon, sigma, alpha)
     coeffs = ProblemCoefficients(epsilon=epsilon, a=1.0, b=1.0)
     model = make_exact_model(epsilon)
     assembly_times = []
@@ -162,8 +145,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
     Cells are independent; jobs > 1 fans them out over processes.  Use
     jobs = 1 when the timing columns matter.
     """
-    if jobs < 1:
-        raise InvalidParameterError("jobs", f"must be >= 1, got {jobs}")
+    check_at_least("jobs", jobs, 1)
     cells = [
         (eps, n, kind.value, config.sigma, config.alpha, config.measurement, config.timing_repeats)
         for eps in config.epsilons

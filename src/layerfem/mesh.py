@@ -17,21 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check_at_least, check_epsilon, check_n_intervals, check_positive
 
 
 class MeshKind(str, Enum):
     UNIFORM = "uniform"
     SHISHKIN = "shishkin"
-
-
-def _validate_n_intervals(n_intervals: int, field: str = "n_intervals") -> None:
-    if not isinstance(n_intervals, (int, np.integer)) or isinstance(n_intervals, bool):
-        raise InvalidParameterError(field, f"must be an integer, got {n_intervals!r}")
-    if n_intervals < 4:
-        raise InvalidParameterError(field, f"must be >= 4, got {n_intervals}")
-    if n_intervals % 2 != 0:
-        raise InvalidParameterError(field, f"must be even, got {n_intervals}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +40,10 @@ class ShishkinParams:
     sigma: float = 3.0
 
     def __post_init__(self) -> None:
-        _validate_n_intervals(self.n_intervals)
-        if not (0.0 < self.epsilon <= 1.0):
-            raise InvalidParameterError(
-                "epsilon", f"must be in (0, 1], got {self.epsilon}"
-            )
-        if not self.alpha > 0.0:
-            raise InvalidParameterError("alpha", f"must be > 0, got {self.alpha}")
-        if not self.sigma >= 2.0:
-            raise InvalidParameterError("sigma", f"must be >= 2, got {self.sigma}")
+        check_n_intervals("n_intervals", self.n_intervals)
+        check_epsilon("epsilon", self.epsilon)
+        check_positive("alpha", self.alpha)
+        check_at_least("sigma", self.sigma, 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +80,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def build_uniform(n_intervals: int) -> Mesh1D:
     """Equidistant mesh with h = 1/N."""
-    _validate_n_intervals(n_intervals)
+    check_n_intervals("n_intervals", n_intervals)
     nodes = np.linspace(0.0, 1.0, n_intervals + 1)
     return Mesh1D(
         nodes=_freeze(nodes),
@@ -124,8 +110,18 @@ def build_shishkin(params: ShishkinParams) -> Mesh1D:
     )
 
 
+def build_mesh(
+    kind: MeshKind | str, n: int, epsilon: float, sigma: float = 3.0, alpha: float = 1.0
+) -> Mesh1D:
+    """A mesh of the given kind; epsilon, sigma and alpha shape only Shishkin meshes."""
+    if MeshKind(kind) is MeshKind.UNIFORM:
+        return build_uniform(n)
+    return build_shishkin(
+        ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
+    )
+
+
 def check_assumption(params: ShishkinParams, c: float) -> bool:
     """True iff epsilon <= c / N, the convection-dominated regime flag."""
-    if not c > 0.0:
-        raise InvalidParameterError("c", f"must be > 0, got {c}")
+    check_positive("c", c)
     return params.epsilon <= c / params.n_intervals

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_epsilon
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class ExactModel:
 
 
 def make_exact_model(epsilon: float) -> ExactModel:
-    if not (0.0 < epsilon <= 1.0):
-        raise InvalidParameterError("epsilon", f"must be in (0, 1], got {epsilon}")
+    check_epsilon("epsilon", epsilon)
     s = math.sqrt(1.0 + 4.0 * epsilon)
     r1 = 2.0 / (1.0 + s)
     # Algebraically equal to 2/(1 - s) but immune to the 1 - s

@@ -8,21 +8,23 @@ problem -eps u'''' - a u''' + b u'' = -f with Lidstone boundary values.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (
+    AssembledSystem,
     ProblemCoefficients,
     assemble_cdr,
     assemble_poisson,
     load_vector,
     load_vector_from_solution,
 )
-from .errors import InvalidParameterError, ResidualBoundError
+from .errors import InvalidParameterError, NumericalFailure, ResidualBoundError
 from .mesh import Mesh1D
-from .tridiag import TridiagonalMatrix, matvec, solve
+from .tridiag import matvec, solve
 
 RESIDUAL_RTOL = 1e-10
 
@@ -76,46 +78,28 @@ class DecoupledSolution:
     timings: PipelineTimings
 
 
-def _checked_solve(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    x = solve(matrix, rhs)
-    bound = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(rhs))))
-    residual = float(np.max(np.abs(matvec(matrix, x) - rhs)))
-    if residual > bound:
-        raise ResidualBoundError(residual, bound)
-    return x
-
-
-def _with_boundary(mesh: Mesh1D, interior: np.ndarray) -> FemSolution:
-    values = np.zeros(mesh.nodes.shape[0])
-    values[1:-1] = interior
-    return FemSolution(mesh=mesh, values=values)
-
-
-def _solve_poisson_timed(mesh: Mesh1D, f) -> tuple[FemSolution, StageTimings]:
-    t0 = time.perf_counter()
-    system = assemble_poisson(mesh)
-    rhs = load_vector(mesh, f)
-    t1 = time.perf_counter()
-    interior = _checked_solve(system.matrix, rhs)
-    t2 = time.perf_counter()
-    return _with_boundary(mesh, interior), StageTimings(t1 - t0, t2 - t1)
-
-
-def _solve_cdr_timed(
-    mesh: Mesh1D,
-    coeffs: ProblemCoefficients,
-    source: FemSolution,
-    source_quadrature: str,
+def _solve_stage(
+    system: AssembledSystem, rhs: np.ndarray, started: float
 ) -> tuple[FemSolution, StageTimings]:
-    if source.mesh is not mesh and not np.array_equal(source.mesh.nodes, mesh.nodes):
-        raise InvalidParameterError("source", "source lives on a different mesh")
-    t0 = time.perf_counter()
-    system = assemble_cdr(mesh, coeffs)
-    rhs = load_vector_from_solution(mesh, source, quadrature=source_quadrature)
-    t1 = time.perf_counter()
-    interior = _checked_solve(system.matrix, rhs)
-    t2 = time.perf_counter()
-    return _with_boundary(mesh, interior), StageTimings(t1 - t0, t2 - t1)
+    """Solve one assembled stage, gate its residual and pin the boundary to 0.
+
+    started is when the stage's assembly began; the solve time includes
+    the residual gate.  A non-finite rhs or residual fails the gate.
+    """
+    assembled = time.perf_counter()
+    scale = float(np.max(np.abs(rhs)))
+    if not math.isfinite(scale):
+        raise NumericalFailure("right-hand side has non-finite entries")
+    x = solve(system.matrix, rhs)
+    bound = RESIDUAL_RTOL * (1.0 + scale)
+    residual = float(np.max(np.abs(matvec(system.matrix, x) - rhs)))
+    if not residual <= bound:
+        raise ResidualBoundError(residual, bound)
+    solved = time.perf_counter()
+    values = np.zeros(system.mesh.nodes.shape[0])
+    values[1:-1] = x
+    timings = StageTimings(assembled - started, solved - assembled)
+    return FemSolution(mesh=system.mesh, values=values), timings
 
 
 def solve_poisson(mesh: Mesh1D, f) -> FemSolution:
@@ -124,8 +108,8 @@ def solve_poisson(mesh: Mesh1D, f) -> FemSolution:
     Linear elements are nodally exact here for any f whose load vector is
     integrated exactly, in particular for constant f.
     """
-    solution, _ = _solve_poisson_timed(mesh, f)
-    return solution
+    started = time.perf_counter()
+    return _solve_stage(assemble_poisson(mesh), load_vector(mesh, f), started)[0]
 
 
 def solve_cdr(
@@ -142,8 +126,12 @@ def solve_cdr(
     layer response enough to spoil the observed second-order rates, so
     collocation is the pipeline's operating mode.
     """
-    solution, _ = _solve_cdr_timed(mesh, coeffs, source, source_quadrature)
-    return solution
+    if source.mesh is not mesh and not np.array_equal(source.mesh.nodes, mesh.nodes):
+        raise InvalidParameterError("source", "source lives on a different mesh")
+    started = time.perf_counter()
+    system = assemble_cdr(mesh, coeffs)
+    rhs = load_vector_from_solution(mesh, source, quadrature=source_quadrature)
+    return _solve_stage(system, rhs, started)[0]
 
 
 def solve_fourth_order(
@@ -153,8 +141,12 @@ def solve_fourth_order(
     source_quadrature: str = "trapezoid",
 ) -> DecoupledSolution:
     """Run both stages on one mesh, recording per-stage wall-clock time."""
-    w, t_poisson = _solve_poisson_timed(mesh, f)
-    u, t_cdr = _solve_cdr_timed(mesh, coeffs, w, source_quadrature)
+    started = time.perf_counter()
+    w, t_poisson = _solve_stage(assemble_poisson(mesh), load_vector(mesh, f), started)
+    started = time.perf_counter()
+    system = assemble_cdr(mesh, coeffs)
+    rhs = load_vector_from_solution(mesh, w, quadrature=source_quadrature)
+    u, t_cdr = _solve_stage(system, rhs, started)
     return DecoupledSolution(
         w=w, u=u, timings=PipelineTimings(poisson=t_poisson, cdr=t_cdr)
     )

@@ -1,4 +1,4 @@
-"""Assembly: local blocks, global stencils, and quadrature exactness."""
+"""Assembly: coefficients, global stencils, and quadrature exactness."""
 
 from types import SimpleNamespace
 
@@ -16,7 +16,6 @@ from layerfem import (
     assemble_poisson,
     build_shishkin,
     build_uniform,
-    element_matrices,
     load_vector,
     load_vector_from_solution,
 )
@@ -46,39 +45,6 @@ def reference_load(mesh, coefficients):
     return out[1:-1]
 
 
-class TestElementMatrices:
-    def test_unit_element(self):
-        stiffness, convection, mass = element_matrices(1.0)
-        assert np.array_equal(stiffness, [[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(convection, [[-0.5, 0.5], [-0.5, 0.5]])
-        assert np.allclose(mass, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-16)
-
-    def test_quarter_element_mass(self):
-        _, _, mass = element_matrices(0.25)
-        assert np.allclose(mass, [[1 / 12, 1 / 24], [1 / 24, 1 / 12]], atol=1e-17)
-
-    def test_scaling_in_h(self):
-        s1, c1, m1 = element_matrices(0.5)
-        s2, c2, m2 = element_matrices(0.125)
-        assert np.allclose(s2, 4.0 * s1)
-        assert np.array_equal(c1, c2)  # convection block is h-free
-        assert np.allclose(m2, m1 / 4.0)
-
-    def test_structure(self):
-        stiffness, convection, mass = element_matrices(0.3)
-        assert np.allclose(stiffness.sum(axis=1), 0.0, atol=1e-15)
-        assert np.allclose(convection.sum(axis=1), 0.0, atol=1e-15)
-        assert np.allclose(mass.sum(), 0.3, atol=1e-15)  # integral of 1*1
-        assert np.allclose(stiffness, stiffness.T)
-        assert np.allclose(mass, mass.T)
-
-    @pytest.mark.parametrize("h", [0.0, -0.25])
-    def test_rejects_nonpositive_length(self, h):
-        with pytest.raises(InvalidParameterError) as excinfo:
-            element_matrices(h)
-        assert excinfo.value.field == "h"
-
-
 class TestCoefficients:
     def test_defaults(self):
         coeffs = ProblemCoefficients(epsilon=1e-8)
@@ -92,6 +58,8 @@ class TestCoefficients:
             ({"epsilon": -1e-8}, "epsilon"),
             ({"epsilon": 0.5, "a": 0.0}, "a"),
             ({"epsilon": 0.5, "b": -1.0}, "b"),
+            ({"epsilon": 0.5, "a": np.inf}, "a"),
+            ({"epsilon": 0.5, "b": np.inf}, "b"),
         ],
     )
     def test_validation(self, kwargs, field):
@@ -174,12 +142,6 @@ class TestAssembledSystem:
         with pytest.raises(InvalidParameterError) as excinfo:
             AssembledSystem(matrix=wrong, mesh=mesh)
         assert excinfo.value.field == "matrix"
-
-    def test_rhs_length_guard(self):
-        mesh = build_uniform(8)
-        matrix = assemble_poisson(mesh).matrix
-        with pytest.raises(InvalidParameterError):
-            AssembledSystem(matrix=matrix, mesh=mesh, rhs=np.zeros(3))
 
 
 class TestLoadVector:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestSolve:
     def test_odd_n_rejected(self, capsys):
         assert main(["solve", "--n", "7"]) == 2
         assert "n_intervals" in capsys.readouterr().err
+
+    def test_nonfinite_coefficient_names_its_flag(self, capsys):
+        assert main(["solve", "--n", "8", "--a", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: a:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_source_is_a_numerical_failure(self, value, capsys):
+        assert main(["solve", "--n", "8", "--f-poly", value]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
 
     def test_unwritable_output(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
@@ -258,8 +270,18 @@ class TestArgparseBoundary:
 
 
 def test_console_entry_point_matches_main():
-    from importlib.metadata import entry_points
+    """The `layerfem` script maps to main, installed or as declared."""
+    from importlib.metadata import PackageNotFoundError, distribution
 
-    scripts = entry_points(group="console_scripts")
-    matches = [ep for ep in scripts if ep.name == "layerfem"]
-    assert matches and matches[0].value == "layerfem.cli:main"
+    try:
+        installed = distribution("layerfem").entry_points
+    except PackageNotFoundError:
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        scripts = declared["project"]["scripts"]
+    else:
+        console = installed.select(group="console_scripts")
+        scripts = {ep.name: ep.value for ep in console}
+    assert scripts.get("layerfem") == "layerfem.cli:main"

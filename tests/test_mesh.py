@@ -72,6 +72,8 @@ class TestShishkin:
             (dict(n_intervals=8, epsilon=2.0), "epsilon"),
             (dict(n_intervals=8, epsilon=1e-3, alpha=0.0), "alpha"),
             (dict(n_intervals=8, epsilon=1e-3, sigma=1.5), "sigma"),
+            (dict(n_intervals=8, epsilon=1e-3, alpha=math.inf), "alpha"),
+            (dict(n_intervals=8, epsilon=1e-3, sigma=math.inf), "sigma"),
         ],
     )
     def test_validation_names_offending_field(self, kwargs, field):
