@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical
 failure.  All output is CSV (LF, UTF-8, '.' decimal point, scientific
 notation with at least 6 significant digits); identical invocations are
-byte-identical except for the timing columns.
+byte-identical except for the timing columns.  The per-node tables of
+`solve` and `mesh-dump` are formatted and written in blocks of rows
+(`_csvwriter`), so the file is never held in memory whole.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 
 import numpy as np
 
+from ._csvwriter import write_csv
 from .assembly import ProblemCoefficients
 from .errors import InvalidParameterError, NumericalFailure
 from .experiments import Measurement, SweepConfig, run_sweep
@@ -144,13 +147,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         u_exact = np.full(mesh.nodes.shape, math.nan)  # no closed form
     w_exact = exact_w_polynomial(poly, mesh.nodes)
 
-    lines = ["x,u_exact,u_fem,w_exact,w_fem"]
-    for i, x in enumerate(mesh.nodes):
-        lines.append(
-            f"{_fmt(x)},{_fmt(u_exact[i])},{_fmt(result.u.values[i])},"
-            f"{_fmt(w_exact[i])},{_fmt(result.w.values[i])}"
-        )
-    _write_lines(args.output, lines)
+    write_csv(
+        args.output,
+        "x,u_exact,u_fem,w_exact,w_fem",
+        [mesh.nodes, u_exact, result.u.values, w_exact, result.w.values],
+    )
     return 0
 
 
@@ -228,11 +229,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    with open(args.csv_path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    if not rows:
+    try:
+        with open(args.csv_path, "r", encoding="utf-8") as fh:
+            numbered = [
+                (lineno, line.rstrip("\n").split(","))
+                for lineno, line in enumerate(fh, 1)
+                if line.strip() and not line.startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            "csv_path", f"{args.csv_path}: not UTF-8 text ({exc.reason})"
+        )
+    if not numbered:
         raise InvalidParameterError("csv_path", "file has no rows")
-    rows = [r for r in rows if not r[0].startswith("#")]
+    rows = [row for _, row in numbered]
+    for lineno, row in numbered:
+        if len(row) != len(rows[0]):
+            raise InvalidParameterError(
+                "csv_path", f"line {lineno}: {len(row)} fields, expected {len(rows[0])}"
+            )
     width = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(width[i]) for i, cell in enumerate(row)) for row in rows]
     _write_lines(args.output, [line.rstrip() for line in lines])
@@ -241,9 +256,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_mesh_dump(args: argparse.Namespace) -> int:
     mesh = build_mesh(MeshKind.SHISHKIN, args.n, args.epsilon, args.sigma, args.alpha)
-    lines = [f"# tau={_fmt(mesh.tau)}", "index,x"]
-    lines.extend(f"{i},{_fmt(x)}" for i, x in enumerate(mesh.nodes))
-    _write_lines(args.output, lines)
+    write_csv(
+        args.output,
+        f"# tau={_fmt(mesh.tau)}\nindex,x",
+        [np.arange(len(mesh.nodes)), mesh.nodes],
+    )
     return 0
 
 

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerfem import ProblemCoefficients, solve_fourth_order
 from layerfem.cli import main
+from layerfem.mesh import build_mesh
+from layerfem.oracle import exact_w_polynomial
 
 HEADER_SOLVE = "x,u_exact,u_fem,w_exact,w_fem"
 HEADER_SWEEP = "epsilon,N,mesh,max_error,rate,assembly_s,solve_s,assumption_ok"
@@ -21,6 +24,16 @@ def solve_columns(path):
     lines = read_lines(path)
     body = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
     return lines[0], body
+
+
+def row_loop(header_lines, columns):
+    """The per-row f-string formatting that the block writer replaced."""
+    lines = list(header_lines)
+    for row in zip(*columns):
+        lines.append(",".join(
+            f"{v}" if isinstance(v, (int, np.integer)) else f"{v:.10e}" for v in row
+        ))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestSolve:
@@ -93,6 +106,32 @@ class TestSolve:
         target = tmp_path / "missing" / "out.csv"
         assert main(["solve", "--n", "8", "--output", str(target)]) == 3
 
+    def test_failed_solve_leaves_no_file(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        assert main(["solve", "--f-poly", "nan", "--output", str(target)]) == 4
+        assert not target.exists()
+        capsys.readouterr()
+
+    def test_stdout_matches_output_file(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        assert main(["solve", "--n", "64", "--output", str(target)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--n", "64"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == target.read_bytes()
+
+    def test_nan_exact_column_matches_row_loop(self, tmp_path):
+        target = tmp_path / "out.csv"
+        code = main(["solve", "--n", "4096", "--a", "2", "--b", "0.5",
+                     "--f-poly", "0,0,1", "--output", str(target)])
+        assert code == 0
+        mesh = build_mesh("shishkin", 4096, 1e-8)
+        result = solve_fourth_order(
+            mesh, ProblemCoefficients(epsilon=1e-8, a=2.0, b=0.5), lambda x: x**2
+        )
+        columns = [mesh.nodes, np.full(mesh.nodes.shape, np.nan), result.u.values,
+                   exact_w_polynomial((0.0, 0.0, 1.0), mesh.nodes), result.w.values]
+        assert target.read_bytes() == row_loop([HEADER_SOLVE], columns)
+
 
 class TestMeshDump:
     def test_known_transition_point(self, tmp_path):
@@ -110,6 +149,15 @@ class TestMeshDump:
         xs = [float(line.split(",")[1]) for line in lines[2:]]
         assert xs[0] == 0.0 and xs[-1] == 1.0
         assert xs == sorted(xs)
+
+    def test_matches_row_loop(self, tmp_path):
+        target = tmp_path / "mesh.csv"
+        assert main(["mesh-dump", "--epsilon", "1e-6", "--n", "20000",
+                     "--output", str(target)]) == 0
+        mesh = build_mesh("shishkin", 20000, 1e-6)
+        expected = row_loop([f"# tau={mesh.tau:.10e}", "index,x"],
+                            [range(len(mesh.nodes)), mesh.nodes])
+        assert target.read_bytes() == expected
 
     def test_requires_epsilon_and_n(self, capsys):
         assert main(["mesh-dump", "--n", "8"]) == 2
@@ -257,6 +305,26 @@ class TestTable:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["table", str(tmp_path / "absent.csv")]) == 3
         capsys.readouterr()
+
+    def test_comment_only_file(self, tmp_path, capsys):
+        path = tmp_path / "comments.csv"
+        path.write_text("# tau=1.0e-01\n# nothing else\n", encoding="utf-8")
+        assert main(["table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: csv_path:")
+
+    def test_ragged_rows_name_the_line(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,c\n1,2\n", encoding="utf-8")
+        assert main(["table", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: csv_path:")
+        assert "line 2" in err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\n\u00e9,1\n".encode("latin-1"))
+        assert main(["table", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: csv_path:")
 
 
 class TestArgparseBoundary:
