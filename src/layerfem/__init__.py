@@ -36,7 +36,6 @@ from .mesh import (
     build_mesh,
     build_shishkin,
     build_uniform,
-    check_assumption,
 )
 from .oracle import (
     ExactModel,
@@ -83,7 +82,6 @@ __all__ = [
     "build_mesh",
     "build_shishkin",
     "build_uniform",
-    "check_assumption",
     "convergence_rate",
     "exact_f",
     "exact_u",

@@ -18,7 +18,7 @@ from .errors import (
     check_n_intervals,
     check_positive,
 )
-from .mesh import MeshKind, ShishkinParams, build_mesh, check_assumption
+from .mesh import MeshKind, build_mesh
 from .oracle import ExactModel, exact_f, exact_u, make_exact_model
 from .solver import FemSolution, solve_fourth_order
 
@@ -126,16 +126,12 @@ def _run_cell(args: tuple) -> tuple[float, float, float, bool]:
     model = make_exact_model(epsilon)
     assembly_times = []
     solve_times = []
-    result = None
     for _ in range(repeats):
         result = solve_fourth_order(mesh, coeffs, exact_f)
         assembly_times.append(result.timings.assembly_seconds)
         solve_times.append(result.timings.solve_seconds)
     error = max_error(result.u, model, measurement)
-    ok = check_assumption(
-        ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma),
-        ASSUMPTION_C,
-    )
+    ok = epsilon <= ASSUMPTION_C / n
     return error, statistics.median(assembly_times), statistics.median(solve_times), ok
 
 
@@ -147,7 +143,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
     """
     check_at_least("jobs", jobs, 1)
     cells = [
-        (eps, n, kind.value, config.sigma, config.alpha, config.measurement, config.timing_repeats)
+        (eps, n, kind, config.sigma, config.alpha, config.measurement, config.timing_repeats)
         for eps in config.epsilons
         for kind in config.mesh_kinds
         for n in config.n_values
@@ -159,29 +155,12 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
             outcomes = list(pool.map(_run_cell, cells))
 
     records: list[RunRecord] = []
-    i = 0
-    for eps in config.epsilons:
-        for kind in config.mesh_kinds:
-            previous: tuple[int, float] | None = None
-            for n in config.n_values:
-                error, t_asm, t_solve, ok = outcomes[i]
-                i += 1
-                rate = None
-                if previous is not None and n == 2 * previous[0]:
-                    rate = convergence_rate(error, previous[1])
-                records.append(
-                    RunRecord(
-                        epsilon=eps,
-                        n_intervals=n,
-                        mesh_kind=kind,
-                        max_error=error,
-                        rate=rate,
-                        assembly_seconds=t_asm,
-                        solve_seconds=t_solve,
-                        assumption_ok=ok,
-                    )
-                )
-                previous = (n, error)
+    for (eps, n, kind, *_), (error, t_asm, t_solve, ok) in zip(cells, outcomes):
+        prev = records[-1] if records else None
+        rate = None
+        if prev and (prev.epsilon, prev.mesh_kind, 2 * prev.n_intervals) == (eps, kind, n):
+            rate = convergence_rate(error, prev.max_error)
+        records.append(RunRecord(eps, n, kind, error, rate, t_asm, t_solve, ok))
     return records
 
 

@@ -119,9 +119,3 @@ def build_mesh(
     return build_shishkin(
         ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
     )
-
-
-def check_assumption(params: ShishkinParams, c: float) -> bool:
-    """True iff epsilon <= c / N, the convection-dominated regime flag."""
-    check_positive("c", c)
-    return params.epsilon <= c / params.n_intervals

@@ -27,7 +27,8 @@ class TridiagonalMatrix:
 
     def __post_init__(self) -> None:
         for name in ("sub", "diag", "sup"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            # a view, so freezing it leaves the caller's own array writeable
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n = self.diag.shape[0]

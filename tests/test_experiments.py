@@ -157,14 +157,15 @@ class TestRunSweep:
 
     def test_assumption_flag(self):
         config = SweepConfig(
-            epsilons=(1e-8, 1.0),
-            n_values=(16,),
+            epsilons=(1e-8, 1e-2, 1.0),
+            n_values=(16, 64),
             mesh_kinds=(MeshKind.SHISHKIN,),
             timing_repeats=1,
         )
-        flags = {r.epsilon: r.assumption_ok for r in run_sweep(config)}
-        assert flags[1e-8] is True
-        assert flags[1.0] is False
+        flags = {(r.epsilon, r.n_intervals): r.assumption_ok for r in run_sweep(config)}
+        assert flags[1e-8, 16] is True
+        assert flags[1.0, 16] is False
+        assert flags[1e-2, 64] is True  # boundary case: 1e-2 <= 1/64
 
     def test_parallel_matches_serial(self):
         config = SweepConfig(

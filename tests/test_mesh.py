@@ -13,7 +13,6 @@ from layerfem import (
     ShishkinParams,
     build_shishkin,
     build_uniform,
-    check_assumption,
 )
 
 
@@ -79,22 +78,6 @@ class TestShishkin:
     def test_validation_names_offending_field(self, kwargs, field):
         with pytest.raises(InvalidParameterError, match=field):
             ShishkinParams(**kwargs)
-
-
-class TestAssumption:
-    def test_tiny_epsilon(self):
-        assert check_assumption(ShishkinParams(n_intervals=16, epsilon=1e-8), 1.0)
-
-    def test_epsilon_one(self):
-        assert not check_assumption(ShishkinParams(n_intervals=16, epsilon=1.0), 1.0)
-
-    def test_boundary_case(self):
-        # 1e-2 <= 1/64
-        assert check_assumption(ShishkinParams(n_intervals=64, epsilon=1e-2), 1.0)
-
-    def test_c_must_be_positive(self):
-        with pytest.raises(InvalidParameterError, match="c"):
-            check_assumption(ShishkinParams(n_intervals=16, epsilon=1e-8), 0.0)
 
 
 even_ns = st.integers(min_value=2, max_value=256).map(lambda k: 2 * k)

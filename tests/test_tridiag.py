@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError, match="diag"):
             TridiagonalMatrix(sub=np.ones(1), diag=np.array([1.0, np.nan]), sup=np.ones(1))
 
+    def test_caller_arrays_stay_writeable(self):
+        sub, diag, sup = np.ones(2), np.full(3, 4.0), np.ones(2)
+        matrix = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+        sub[0] = diag[0] = sup[0] = 2.0
+        for band in (matrix.sub, matrix.diag, matrix.sup):
+            with pytest.raises(ValueError):
+                band[0] = 1.0
+
     def test_n_property(self):
         m = TridiagonalMatrix(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
         assert m.n == 3
