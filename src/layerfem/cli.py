@@ -11,8 +11,6 @@ byte-identical except for the timing columns.  The per-node tables of
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run an (epsilon, N, mesh) grid")
     sweep.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    sweep.add_argument("--config", default=None, help="JSON file mirroring SweepConfig")
     sweep.add_argument("--epsilon", default=None, help="comma-list of epsilons")
     sweep.add_argument("--n", default=None, help="comma-list of interval counts")
     sweep.add_argument("--mesh", choices=["uniform", "shishkin", "both"], default=None)
@@ -155,35 +152,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_json_config(path: str) -> dict:
-    allowed = {f.name for f in dataclasses.fields(SweepConfig)}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(
-            "--config", f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        )
-    if not isinstance(raw, dict):
-        raise InvalidParameterError("--config", f"{path}: top level must be an object")
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise InvalidParameterError(
-            "--config", f"{path}: unknown keys {', '.join(unknown)}"
-        )
-    return raw
-
-
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    if args.preset is not None and args.config is not None:
-        raise InvalidParameterError("--preset", "cannot be combined with --config")
-    fields: dict = {}
-    if args.preset is not None:
-        fields.update(PRESETS[args.preset])
-    if args.config is not None:
-        fields.update(_load_json_config(args.config))
-
-    # inline flags override preset/file values
+    fields = dict(PRESETS.get(args.preset, {}))
+    # inline flags override preset values
     if args.epsilon is not None:
         fields["epsilons"] = _parse_list(args.epsilon, "--epsilon", float)
     if args.n is not None:
@@ -204,13 +175,8 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         fields["timing_repeats"] = args.timing_repeats
 
     if "epsilons" not in fields or "n_values" not in fields:
-        raise InvalidParameterError(
-            "--epsilon/--n", "required unless supplied by --preset or --config"
-        )
-    try:
-        return SweepConfig(**fields)
-    except TypeError as exc:
-        raise InvalidParameterError("--config", str(exc))
+        raise InvalidParameterError("--epsilon/--n", "required unless supplied by --preset")
+    return SweepConfig(**fields)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Exception types and the parameter checks shared across the package.
 
 Every rule a parameter must satisfy is written once here; the check
-takes the field name so each caller reports its own flag or config key.
+takes the field name so each caller reports its own flag or field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ class InvalidParameterError(ValueError):
     """A parameter violates its documented constraint.
 
     Carries the offending field name so callers (and the CLI) can point
-    at the exact flag or config key that was rejected.
+    at the exact flag or field that was rejected.
     """
 
     def __init__(self, field: str, message: str):
@@ -41,10 +41,14 @@ def check_at_least(field: str, value: float, low: float) -> None:
         )
 
 
-def check_n_intervals(field: str, value: int) -> None:
-    """Interval counts are even integers >= 4: both Shishkin halves get N/2."""
+def check_integer(field: str, value: int) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidParameterError(field, f"must be an integer, got {value!r}")
+
+
+def check_n_intervals(field: str, value: int) -> None:
+    """Interval counts are even integers >= 4: both Shishkin halves get N/2."""
+    check_integer(field, value)
     if value < 4 or value % 2 != 0:
         raise InvalidParameterError(field, f"must be even and >= 4, got {value}")
 

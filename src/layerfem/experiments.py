@@ -15,6 +15,7 @@ from .errors import (
     InvalidParameterError,
     check_at_least,
     check_epsilon,
+    check_integer,
     check_n_intervals,
     check_positive,
 )
@@ -64,18 +65,21 @@ class SweepConfig:
     timing_repeats: int = 5
 
     def __post_init__(self) -> None:
+        for n in self.n_values:
+            check_n_intervals("n_values", n)
+        if isinstance(self.mesh_kinds, str):
+            raise InvalidParameterError("mesh_kinds", "must be a sequence, not a string")
+        kinds = tuple(_member("mesh_kinds", MeshKind, k) for k in self.mesh_kinds)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "mesh_kinds", kinds)
         object.__setattr__(
-            self, "mesh_kinds", tuple(MeshKind(k) for k in self.mesh_kinds)
+            self, "measurement", _member("measurement", Measurement, self.measurement)
         )
-        object.__setattr__(self, "measurement", Measurement(self.measurement))
         for e in self.epsilons:
             check_epsilon("epsilons", e)
         if not self.n_values:
             raise InvalidParameterError("n_values", "must not be empty")
-        for n in self.n_values:
-            check_n_intervals("n_values", n)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise InvalidParameterError("n_values", "must be strictly ascending")
         if not self.mesh_kinds:
@@ -84,7 +88,16 @@ class SweepConfig:
             raise InvalidParameterError("mesh_kinds", "must not repeat")
         check_at_least("sigma", self.sigma, 2.0)
         check_positive("alpha", self.alpha)
+        check_integer("timing_repeats", self.timing_repeats)
         check_at_least("timing_repeats", self.timing_repeats, 1)
+
+
+def _member(field: str, kind: type[Enum], value) -> Enum:
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in kind)
+        raise InvalidParameterError(field, f"must be one of {choices}, got {value!r}")
 
 
 def max_error(
@@ -118,19 +131,20 @@ def convergence_rate(error_fine: float, error_coarse: float) -> float | None:
     return math.log2(error_coarse / error_fine)
 
 
-def _run_cell(args: tuple) -> tuple[float, float, float, bool]:
-    """One (epsilon, N, kind) cell: returns error and median stage timings."""
-    epsilon, n, kind, sigma, alpha, measurement, repeats = args
-    mesh = build_mesh(kind, n, epsilon, sigma, alpha)
+def _run_cell(
+    config: SweepConfig, epsilon: float, kind: MeshKind, n: int
+) -> tuple[float, float, float, bool]:
+    """One (epsilon, kind, N) cell: returns error and median stage timings."""
+    mesh = build_mesh(kind, n, epsilon, config.sigma, config.alpha)
     coeffs = ProblemCoefficients(epsilon=epsilon, a=1.0, b=1.0)
     model = make_exact_model(epsilon)
     assembly_times = []
     solve_times = []
-    for _ in range(repeats):
+    for _ in range(config.timing_repeats):
         result = solve_fourth_order(mesh, coeffs, exact_f)
         assembly_times.append(result.timings.assembly_seconds)
         solve_times.append(result.timings.solve_seconds)
-    error = max_error(result.u, model, measurement)
+    error = max_error(result.u, model, config.measurement)
     ok = epsilon <= ASSUMPTION_C / n
     return error, statistics.median(assembly_times), statistics.median(solve_times), ok
 
@@ -143,19 +157,19 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
     """
     check_at_least("jobs", jobs, 1)
     cells = [
-        (eps, n, kind, config.sigma, config.alpha, config.measurement, config.timing_repeats)
+        (eps, kind, n)
         for eps in config.epsilons
         for kind in config.mesh_kinds
         for n in config.n_values
     ]
     if jobs == 1:
-        outcomes = [_run_cell(c) for c in cells]
+        outcomes = [_run_cell(config, *c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+            outcomes = list(pool.map(_run_cell, [config] * len(cells), *zip(*cells)))
 
     records: list[RunRecord] = []
-    for (eps, n, kind, *_), (error, t_asm, t_solve, ok) in zip(cells, outcomes):
+    for (eps, kind, n), (error, t_asm, t_solve, ok) in zip(cells, outcomes):
         prev = records[-1] if records else None
         rate = None
         if prev and (prev.epsilon, prev.mesh_kind, 2 * prev.n_intervals) == (eps, kind, n):

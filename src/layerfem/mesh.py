@@ -65,9 +65,6 @@ class Mesh1D:
     def n_interior(self) -> int:
         return self.n_intervals - 1
 
-    def interior_nodes(self) -> np.ndarray:
-        return self.nodes[1:-1]
-
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 

@@ -161,7 +161,7 @@ class TestLoadVector:
     def test_linear_source_uniform(self):
         mesh = build_uniform(8)
         rhs = load_vector(mesh, lambda x: x)
-        assert np.allclose(rhs, 0.125 * mesh.interior_nodes(), atol=1e-15)
+        assert np.allclose(rhs, 0.125 * mesh.nodes[1:-1], atol=1e-15)
 
     def test_constant_source_shishkin(self):
         mesh = build_shishkin(ShishkinParams(n_intervals=16, epsilon=1e-6))

@@ -1,6 +1,5 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
-import json
 import math
 from pathlib import Path
 
@@ -208,62 +207,17 @@ class TestSweep:
         rate = lines[2].split(",")[4]
         assert 1.0 < float(rate) < 3.0  # doubled N reports a rate
 
-    def test_json_config_round_trip(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "epsilons": [1e-8],
-                    "n_values": [8, 16],
-                    "mesh_kinds": ["shishkin"],
-                    "sigma": 2.0,
-                    "timing_repeats": 1,
-                }
-            ),
-            encoding="utf-8",
-        )
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--config", str(config), "--jobs", "1",
-                     "--output", str(out)])
-        assert code == 0
-        assert len(read_lines(out)) == 3
-
     def test_flags_override_config(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"epsilons": [1e-2], "n_values": [8], "timing_repeats": 1}),
-            encoding="utf-8",
-        )
         out = tmp_path / "sweep.csv"
-        main(["sweep", "--config", str(config), "--epsilon", "1e-4",
-              "--mesh", "uniform", "--jobs", "1", "--output", str(out)])
+        main(["sweep", "--preset", "epsilon-one", "--epsilon", "1e-4", "--n", "8",
+              "--timing-repeats", "1", "--jobs", "1", "--output", str(out)])
         lines = read_lines(out)
         assert len(lines) == 2
         assert lines[1].startswith("1.000000e-04,8,uniform,")
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"epsilons": [1e-8], "n_values": [8], "foo": 1}',
-                          encoding="utf-8")
-        assert main(["sweep", "--config", str(config)]) == 2
-        assert "unknown keys foo" in capsys.readouterr().err
-
-    def test_malformed_config(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"epsilons": [1e-8],', encoding="utf-8")
-        assert main(["sweep", "--config", str(config)]) == 2
-        assert "invalid JSON at line" in capsys.readouterr().err
-
-    def test_preset_and_config_conflict(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text("{}", encoding="utf-8")
-        code = main(["sweep", "--preset", "table1", "--config", str(config)])
-        assert code == 2
-        capsys.readouterr()
-
     def test_grid_required(self, capsys):
         assert main(["sweep"]) == 2
-        assert "--preset or --config" in capsys.readouterr().err
+        assert "required unless supplied by --preset" in capsys.readouterr().err
 
     def test_bad_jobs(self, capsys):
         assert main(["sweep", "--preset", "epsilon-one", "--jobs", "0"]) == 2

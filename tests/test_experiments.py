@@ -116,6 +116,14 @@ class TestSweepConfig:
                 {"epsilons": (1e-8,), "n_values": (8,), "timing_repeats": 0},
                 "timing_repeats",
             ),
+            ({"epsilons": (1e-2,), "n_values": (8.5,)}, "n_values"),
+            ({"epsilons": (1e-8,), "n_values": (8,), "mesh_kinds": ("bogus",)}, "mesh_kinds"),
+            ({"epsilons": (1e-8,), "n_values": (8,), "mesh_kinds": "uniform"}, "mesh_kinds"),
+            ({"epsilons": (1e-8,), "n_values": (8,), "measurement": "bogus"}, "measurement"),
+            (
+                {"epsilons": (1e-8,), "n_values": (8,), "timing_repeats": 1.7},
+                "timing_repeats",
+            ),
         ],
     )
     def test_validation(self, kwargs, field):
