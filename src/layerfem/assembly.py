@@ -57,25 +57,26 @@ class AssembledSystem:
             )
 
 
+def _stencil(
+    mesh: Mesh1D, diffusion: float, convection: float, reaction: float
+) -> TridiagonalMatrix:
+    """Interior operator of diffusion (u', v') - convection (u', v) + reaction (u, v)."""
+    h = mesh.element_lengths
+    diag = diffusion * (1.0 / h[:-1] + 1.0 / h[1:]) + reaction * (h[:-1] + h[1:]) / 3.0
+    shared = h[1:-1]  # element between consecutive interior nodes
+    sub = -diffusion / shared + convection / 2.0 + reaction * shared / 6.0
+    sup = -diffusion / shared - convection / 2.0 + reaction * shared / 6.0
+    return TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+
+
 def assemble_poisson(mesh: Mesh1D) -> AssembledSystem:
     """Interior operator of (w', v'); on a uniform mesh this is (1/h) S."""
-    h = mesh.element_lengths
-    diag = 1.0 / h[:-1] + 1.0 / h[1:]
-    off = -1.0 / h[1:-1]
-    matrix = TridiagonalMatrix(sub=off, diag=diag, sup=off)
-    return AssembledSystem(matrix=matrix, mesh=mesh)
+    return AssembledSystem(_stencil(mesh, 1.0, 0.0, 0.0), mesh)
 
 
 def assemble_cdr(mesh: Mesh1D, coeffs: ProblemCoefficients) -> AssembledSystem:
     """Interior operator of eps (u', v') - a (u', v) + b (u, v)."""
-    eps, a, b = coeffs.epsilon, coeffs.a, coeffs.b
-    h = mesh.element_lengths
-    diag = eps * (1.0 / h[:-1] + 1.0 / h[1:]) + b * (h[:-1] + h[1:]) / 3.0
-    shared = h[1:-1]  # element between consecutive interior nodes
-    sub = -eps / shared + a / 2.0 + b * shared / 6.0
-    sup = -eps / shared - a / 2.0 + b * shared / 6.0
-    matrix = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
-    return AssembledSystem(matrix=matrix, mesh=mesh)
+    return AssembledSystem(_stencil(mesh, coeffs.epsilon, coeffs.a, coeffs.b), mesh)
 
 
 def load_vector(mesh: Mesh1D, f) -> np.ndarray:

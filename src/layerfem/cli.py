@@ -11,6 +11,7 @@ byte-identical except for the timing columns.  The per-node tables of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from ._csvwriter import write_csv
 from .assembly import ProblemCoefficients
 from .errors import InvalidParameterError, NumericalFailure
 from .experiments import Measurement, SweepConfig, run_sweep
-from .mesh import MeshKind, build_mesh
+from .mesh import MeshKind, ShishkinParams, build_mesh
 from .oracle import exact_u, exact_w_polynomial, make_exact_model
 from .solver import solve_fourth_order
 
@@ -49,13 +50,15 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _parse_list(text: str, flag: str, kind: type) -> tuple:
-    try:
+_MESH_NAMES = [k.value for k in MeshKind]
+_SWEEP_MESHES = "{" + ",".join(_MESH_NAMES + ["both"]) + "}"
+
+
+def _comma_list(kind: type):
+    def parse(text: str) -> tuple:
         return tuple(kind(part) for part in text.split(","))
-    except ValueError:
-        raise InvalidParameterError(
-            flag, f"not a comma-list of {kind.__name__}s: {text!r}"
-        )
+    parse.__name__ = f"comma-list of {kind.__name__}"  # named in argparse's error
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,30 +74,40 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one problem and dump nodal data")
     solve.add_argument("--epsilon", type=float, default=1e-8)
     solve.add_argument("--n", type=int, default=32)
-    solve.add_argument("--mesh", choices=["uniform", "shishkin"], default="shishkin")
-    solve.add_argument("--sigma", type=float, default=3.0)
-    solve.add_argument("--alpha", type=float, default=1.0)
-    solve.add_argument("--a", type=float, default=1.0)
-    solve.add_argument("--b", type=float, default=1.0)
+    solve.add_argument("--mesh", choices=_MESH_NAMES, default=MeshKind.SHISHKIN.value)
+    solve.add_argument("--sigma", type=float, default=ShishkinParams.sigma)
+    solve.add_argument("--alpha", type=float, default=ShishkinParams.alpha)
+    solve.add_argument("--a", type=float, default=ProblemCoefficients.a)
+    solve.add_argument("--b", type=float, default=ProblemCoefficients.b)
     solve.add_argument(
         "--f-poly",
-        default=None,
+        type=_comma_list(float),
+        default=(1.0,),
         metavar="c0,c1,c2",
         help="polynomial source coefficients, ascending; default is f = 1",
     )
     solve.add_argument("--output", default=None)
 
-    sweep = sub.add_parser("sweep", help="run an (epsilon, N, mesh) grid")
-    sweep.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    sweep.add_argument("--epsilon", default=None, help="comma-list of epsilons")
-    sweep.add_argument("--n", default=None, help="comma-list of interval counts")
-    sweep.add_argument("--mesh", choices=["uniform", "shishkin", "both"], default=None)
-    sweep.add_argument("--sigma", type=float, default=None)
-    sweep.add_argument("--alpha", type=float, default=None)
-    sweep.add_argument(
-        "--measurement", choices=[m.value for m in Measurement], default=None
+    def mesh_kinds(text: str) -> tuple[MeshKind, ...]:  # named in argparse's error
+        return tuple(MeshKind) if text == "both" else (MeshKind(text),)
+
+    # Grid flags have no default, and each one's dest is the SweepConfig
+    # field it sets, so only the flags given override the preset.
+    sweep = sub.add_parser(
+        "sweep", help="run an (epsilon, N, mesh) grid", argument_default=argparse.SUPPRESS
     )
-    sweep.add_argument("--timing-repeats", type=int, default=None)
+    sweep.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    sweep.add_argument(
+        "--epsilon", dest="epsilons", type=_comma_list(float), help="comma-list of epsilons"
+    )
+    sweep.add_argument(
+        "--n", dest="n_values", type=_comma_list(int), help="comma-list of interval counts"
+    )
+    sweep.add_argument("--mesh", dest="mesh_kinds", type=mesh_kinds, metavar=_SWEEP_MESHES)
+    sweep.add_argument("--sigma", type=float)
+    sweep.add_argument("--alpha", type=float)
+    sweep.add_argument("--measurement", choices=[m.value for m in Measurement])
+    sweep.add_argument("--timing-repeats", type=int)
     sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sweep.add_argument("--output", default=None)
 
@@ -105,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     dump = sub.add_parser("mesh-dump", help="dump Shishkin mesh nodes")
     dump.add_argument("--epsilon", type=float, required=True)
     dump.add_argument("--n", type=int, required=True)
-    dump.add_argument("--sigma", type=float, default=3.0)
-    dump.add_argument("--alpha", type=float, default=1.0)
+    dump.add_argument("--sigma", type=float, default=ShishkinParams.sigma)
+    dump.add_argument("--alpha", type=float, default=ShishkinParams.alpha)
     dump.add_argument("--output", default=None)
 
     return parser
@@ -128,21 +141,16 @@ def _fmt(value: float) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     coeffs = ProblemCoefficients(epsilon=args.epsilon, a=args.a, b=args.b)
     mesh = build_mesh(args.mesh, args.n, args.epsilon, args.sigma, args.alpha)
-    if args.f_poly is None:
-        poly = (1.0,)
-    else:
-        poly = _parse_list(args.f_poly, "--f-poly", float)
 
     def f(x):
-        return sum(c * np.asarray(x, dtype=float) ** k for k, c in enumerate(poly))
+        return sum(c * np.asarray(x, dtype=float) ** k for k, c in enumerate(args.f_poly))
 
     result = solve_fourth_order(mesh, coeffs, f)
-    is_model = args.a == 1.0 and args.b == 1.0 and poly == (1.0,)
-    if is_model:
+    if (args.a, args.b, args.f_poly) == (1.0, 1.0, (1.0,)):  # the model problem
         u_exact = exact_u(make_exact_model(args.epsilon), mesh.nodes)
     else:
         u_exact = np.full(mesh.nodes.shape, math.nan)  # no closed form
-    w_exact = exact_w_polynomial(poly, mesh.nodes)
+    w_exact = exact_w_polynomial(args.f_poly, mesh.nodes)
 
     write_csv(
         args.output,
@@ -154,34 +162,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     fields = dict(PRESETS.get(args.preset, {}))
-    # inline flags override preset values
-    if args.epsilon is not None:
-        fields["epsilons"] = _parse_list(args.epsilon, "--epsilon", float)
-    if args.n is not None:
-        fields["n_values"] = _parse_list(args.n, "--n", int)
-    if args.mesh is not None:
-        fields["mesh_kinds"] = (
-            (MeshKind.UNIFORM, MeshKind.SHISHKIN)
-            if args.mesh == "both"
-            else (MeshKind(args.mesh),)
-        )
-    if args.sigma is not None:
-        fields["sigma"] = args.sigma
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.measurement is not None:
-        fields["measurement"] = args.measurement
-    if args.timing_repeats is not None:
-        fields["timing_repeats"] = args.timing_repeats
-
+    names = {f.name for f in dataclasses.fields(SweepConfig)}
+    fields.update((k, v) for k, v in vars(args).items() if k in names)
     if "epsilons" not in fields or "n_values" not in fields:
         raise InvalidParameterError("--epsilon/--n", "required unless supplied by --preset")
     return SweepConfig(**fields)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _sweep_config(args)
-    records = run_sweep(config, jobs=args.jobs)
+    records = run_sweep(_sweep_config(args), jobs=args.jobs)
     lines = ["epsilon,N,mesh,max_error,rate,assembly_s,solve_s,assumption_ok"]
     for r in records:
         rate = "" if r.rate is None else f"{r.rate:.6f}"

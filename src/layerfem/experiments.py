@@ -17,9 +17,8 @@ from .errors import (
     check_epsilon,
     check_integer,
     check_n_intervals,
-    check_positive,
 )
-from .mesh import MeshKind, build_mesh
+from .mesh import MeshKind, ShishkinParams, build_mesh
 from .oracle import ExactModel, exact_f, exact_u, make_exact_model
 from .solver import FemSolution, solve_fourth_order
 
@@ -59,16 +58,19 @@ class SweepConfig:
     epsilons: tuple[float, ...]
     n_values: tuple[int, ...]
     mesh_kinds: tuple[MeshKind, ...] = (MeshKind.UNIFORM, MeshKind.SHISHKIN)
-    sigma: float = 3.0
-    alpha: float = 1.0
+    sigma: float = ShishkinParams.sigma
+    alpha: float = ShishkinParams.alpha
     measurement: Measurement = Measurement.NODES
     timing_repeats: int = 5
 
     def __post_init__(self) -> None:
+        for field in ("epsilons", "n_values", "mesh_kinds"):
+            value = getattr(self, field)
+            if isinstance(value, str) or not (value := tuple(value)):
+                raise InvalidParameterError(field, "must be a non-empty sequence")
+            object.__setattr__(self, field, value)
         for n in self.n_values:
             check_n_intervals("n_values", n)
-        if isinstance(self.mesh_kinds, str):
-            raise InvalidParameterError("mesh_kinds", "must be a sequence, not a string")
         kinds = tuple(_member("mesh_kinds", MeshKind, k) for k in self.mesh_kinds)
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -78,16 +80,12 @@ class SweepConfig:
         )
         for e in self.epsilons:
             check_epsilon("epsilons", e)
-        if not self.n_values:
-            raise InvalidParameterError("n_values", "must not be empty")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise InvalidParameterError("n_values", "must be strictly ascending")
-        if not self.mesh_kinds:
-            raise InvalidParameterError("mesh_kinds", "must not be empty")
         if len(set(self.mesh_kinds)) != len(self.mesh_kinds):
             raise InvalidParameterError("mesh_kinds", "must not repeat")
-        check_at_least("sigma", self.sigma, 2.0)
-        check_positive("alpha", self.alpha)
+        # sigma and alpha obey the mesh's own rule, checked on the first cell
+        ShishkinParams(self.n_values[0], self.epsilons[0], alpha=self.alpha, sigma=self.sigma)
         check_integer("timing_repeats", self.timing_repeats)
         check_at_least("timing_repeats", self.timing_repeats, 1)
 
@@ -155,6 +153,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
     Cells are independent; jobs > 1 fans them out over processes.  Use
     jobs = 1 when the timing columns matter.
     """
+    check_integer("jobs", jobs)
     check_at_least("jobs", jobs, 1)
     cells = [
         (eps, kind, n)

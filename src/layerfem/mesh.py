@@ -108,11 +108,11 @@ def build_shishkin(params: ShishkinParams) -> Mesh1D:
 
 
 def build_mesh(
-    kind: MeshKind | str, n: int, epsilon: float, sigma: float = 3.0, alpha: float = 1.0
+    kind: MeshKind | str, n: int, epsilon: float,
+    sigma: float = ShishkinParams.sigma, alpha: float = ShishkinParams.alpha,
 ) -> Mesh1D:
-    """A mesh of the given kind; epsilon, sigma and alpha shape only Shishkin meshes."""
+    """A mesh of the given kind; epsilon, sigma and alpha are checked for both kinds."""
+    params = ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
     if MeshKind(kind) is MeshKind.UNIFORM:
         return build_uniform(n)
-    return build_shishkin(
-        ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
-    )
+    return build_shishkin(params)

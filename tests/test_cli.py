@@ -91,8 +91,18 @@ class TestSolve:
         assert "n_intervals" in capsys.readouterr().err
 
     def test_nonfinite_coefficient_names_its_flag(self, capsys):
-        assert main(["solve", "--n", "8", "--a", "inf"]) == 2
-        assert capsys.readouterr().err.startswith("error: a:")
+        for flags, field in [
+            (["--a", "inf"], "a"),
+            (["--mesh", "uniform", "--alpha", "nan"], "alpha"),
+        ]:
+            assert main(["solve", "--n", "8", *flags]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilon", "1e-2"]])
+    def test_sigma_checked_on_uniform_mesh(self, command, capsys):
+        argv = [*command, "--mesh", "uniform", "--n", "8", "--sigma", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: sigma:")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_source_is_a_numerical_failure(self, value, capsys):
@@ -288,7 +298,20 @@ class TestArgparseBoundary:
 
     def test_bad_mesh_choice(self, capsys):
         assert main(["solve", "--mesh", "radial"]) == 2
-        capsys.readouterr()
+        assert main(["sweep", "--mesh", "radial", "--epsilon", "1e-2", "--n", "8"]) == 2
+        assert "--mesh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--epsilon", "x", "--n", "8"], "--epsilon"),
+            (["sweep", "--epsilon", "1e-2", "--n", "8,a"], "--n"),
+            (["solve", "--n", "8", "--f-poly", "a,b"], "--f-poly"),
+        ],
+    )
+    def test_malformed_list_names_its_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_console_entry_point_matches_main():

@@ -124,6 +124,17 @@ class TestSweepConfig:
                 {"epsilons": (1e-8,), "n_values": (8,), "timing_repeats": 1.7},
                 "timing_repeats",
             ),
+            ({"epsilons": "0.5", "n_values": (8,)}, "epsilons"),
+            ({"epsilons": (), "n_values": (8,)}, "epsilons"),
+            (
+                {
+                    "epsilons": (1e-8,),
+                    "n_values": (8,),
+                    "mesh_kinds": ("uniform",),
+                    "alpha": math.nan,
+                },
+                "alpha",
+            ),
         ],
     )
     def test_validation(self, kwargs, field):
@@ -191,8 +202,10 @@ class TestRunSweep:
 
     def test_rejects_bad_jobs(self):
         config = SweepConfig(epsilons=(1e-8,), n_values=(8,), timing_repeats=1)
-        with pytest.raises(InvalidParameterError):
-            run_sweep(config, jobs=0)
+        for jobs in (0, 1.5):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                run_sweep(config, jobs=jobs)
+            assert excinfo.value.field == "jobs"
 
 
 class TestSweepInvariants:

@@ -11,6 +11,7 @@ from layerfem import (
     InvalidParameterError,
     MeshKind,
     ShishkinParams,
+    build_mesh,
     build_shishkin,
     build_uniform,
 )
@@ -78,6 +79,17 @@ class TestShishkin:
     def test_validation_names_offending_field(self, kwargs, field):
         with pytest.raises(InvalidParameterError, match=field):
             ShishkinParams(**kwargs)
+
+
+class TestBuildMesh:
+    @pytest.mark.parametrize("kind", list(MeshKind))
+    @pytest.mark.parametrize(
+        "kwargs, field", [({"sigma": 1.5}, "sigma"), ({"alpha": math.nan}, "alpha")]
+    )
+    def test_shishkin_rule_holds_for_every_kind(self, kind, kwargs, field):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            build_mesh(kind, 8, 1e-3, **kwargs)
+        assert excinfo.value.field == field
 
 
 even_ns = st.integers(min_value=2, max_value=256).map(lambda k: 2 * k)
