@@ -64,8 +64,12 @@ def _stencil(
     h = mesh.element_lengths
     diag = diffusion * (1.0 / h[:-1] + 1.0 / h[1:]) + reaction * (h[:-1] + h[1:]) / 3.0
     shared = h[1:-1]  # element between consecutive interior nodes
-    sub = -diffusion / shared + convection / 2.0 + reaction * shared / 6.0
-    sup = -diffusion / shared - convection / 2.0 + reaction * shared / 6.0
+    stiffness, mass = -diffusion / shared, reaction * shared / 6.0
+    sub = stiffness + convection / 2.0 + mass
+    # sup reuses stiffness's buffer: at large N an extra live array costs more
+    # than computing the two terms once saves
+    sup = np.subtract(stiffness, convection / 2.0, out=stiffness)
+    sup += mass
     return TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
 
 

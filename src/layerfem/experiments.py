@@ -72,7 +72,11 @@ class SweepConfig:
         for n in self.n_values:
             check_n_intervals("n_values", n)
         kinds = tuple(_member("mesh_kinds", MeshKind, k) for k in self.mesh_kinds)
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        try:
+            epsilons = tuple(float(e) for e in self.epsilons)
+        except (TypeError, ValueError):
+            raise InvalidParameterError("epsilons", f"must be numbers, got {self.epsilons!r}")
+        object.__setattr__(self, "epsilons", epsilons)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "mesh_kinds", kinds)
         object.__setattr__(

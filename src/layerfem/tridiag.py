@@ -3,7 +3,10 @@
 The solver is a single forward-elimination / back-substitution pass
 (Thomas algorithm) without pivoting; the assembled FEM systems here are
 diagonally dominant or positive definite, and a near-zero pivot aborts
-with the offending row instead of propagating NaNs.
+with the offending row instead of propagating NaNs.  The pipeline uses
+it for the convection-diffusion-reaction stage; the Poisson stage runs
+the same elimination with its coefficients in closed form
+(`solver._poisson_direct`), and `matvec` gates both.
 """
 
 from __future__ import annotations

@@ -135,6 +135,7 @@ class TestSweepConfig:
                 },
                 "alpha",
             ),
+            ({"epsilons": ("x",), "n_values": (8,)}, "epsilons"),
         ],
     )
     def test_validation(self, kwargs, field):

@@ -13,9 +13,12 @@ from layerfem import (
     ResidualBoundError,
     ShishkinParams,
     assemble_cdr,
+    assemble_poisson,
+    build_mesh,
     build_shishkin,
     build_uniform,
     exact_u,
+    load_vector,
     load_vector_from_solution,
     make_exact_model,
     solve_cdr,
@@ -26,6 +29,18 @@ from layerfem import (
 from layerfem.tridiag import matvec
 
 ONE = lambda x: np.ones_like(x)  # noqa: E731
+GATE_MESHES = (
+    build_uniform(1024),
+    build_shishkin(ShishkinParams(n_intervals=1024, epsilon=1e-10)),
+)
+
+
+def row_scaled_backward_error(matrix, x, b):
+    row_sums = np.abs(matrix.diag)
+    row_sums[1:] += np.abs(matrix.sub)
+    row_sums[:-1] += np.abs(matrix.sup)
+    residual = np.max(np.abs(matvec(matrix, x) - b) / row_sums)
+    return float(residual / (np.max(np.abs(x)) + np.max(np.abs(b) / row_sums)))
 
 
 def nodal_error(solution, model):
@@ -52,7 +67,8 @@ class TestFemSolution:
 
 
 class TestStageOne:
-    @pytest.mark.parametrize("n", [4, 16, 64, 256])
+    # a general Thomas pass over this matrix is off by 8.3e-8 at 2^20
+    @pytest.mark.parametrize("n", [4, 16, 64, 256, 2**20])
     def test_nodally_exact_uniform(self, n):
         mesh = build_uniform(n)
         w = solve_poisson(mesh, ONE)
@@ -65,6 +81,29 @@ class TestStageOne:
         w = solve_poisson(mesh, ONE)
         exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
         assert float(np.max(np.abs(w.values - exact))) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
+    def test_nodally_exact_shishkin_at_largest_n(self, eps):
+        # a general Thomas pass over this matrix is off by 4.15e-8 here
+        mesh = build_shishkin(ShishkinParams(n_intervals=2**20, epsilon=eps))
+        w = solve_poisson(mesh, ONE)
+        exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
+        assert float(np.max(np.abs(w.values - exact))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 15906, 2**17])
+    @pytest.mark.parametrize("kind", ["uniform", "shishkin"])
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: np.exp(-x / 1e-6), lambda x: 1e3 * np.sin(50.0 * x)],
+        ids=["layer", "oscillating"],
+    )
+    def test_backward_stable_on_hard_sources(self, f, kind, n):
+        # summing element fluxes instead reads 5.3u to 5.4e9u on these
+        mesh = build_mesh(kind, n, 1e-10)
+        w = solve_poisson(mesh, f)
+        assert row_scaled_backward_error(
+            assemble_poisson(mesh).matrix, w.values[1:-1], load_vector(mesh, f)
+        ) <= 4 * 2.0**-53
 
     def test_zero_source(self):
         w = solve_poisson(build_uniform(16), lambda x: np.zeros_like(x))
@@ -120,18 +159,30 @@ class TestBackwardErrorGate:
         assert np.all(np.isfinite(result.u.values))
 
     def test_perturbed_solution_rejected(self, monkeypatch):
+        direct = layerfem.solver._poisson_direct
+
+        def off_by_1e_12(mesh, load):
+            x = direct(mesh, load)
+            x[np.argmax(np.abs(x))] *= 1.0 + 1e-12
+            return x
+
+        monkeypatch.setattr(layerfem.solver, "_poisson_direct", off_by_1e_12)
+        # the unscaled normwise gate read the Shishkin case as 9.4e-6u,
+        # because |A| ~ 1/h_fine there
+        for mesh in GATE_MESHES:
+            with pytest.raises(ResidualBoundError):
+                solve_poisson(mesh, ONE)
+
+    def test_perturbed_stage_two_rejected(self, monkeypatch):
         def off_by_1e_12(matrix, rhs):
             x = tridiag_solve(matrix, rhs)
             x[np.argmax(np.abs(x))] *= 1.0 + 1e-12
             return x
 
         monkeypatch.setattr(layerfem.solver, "solve", off_by_1e_12)
-        # the unscaled normwise gate read the Shishkin case as 9.4e-6u,
-        # because |A| ~ 1/h_fine there
-        shishkin = build_shishkin(ShishkinParams(n_intervals=1024, epsilon=1e-10))
-        for mesh in (build_uniform(1024), shishkin):
+        for mesh in GATE_MESHES:
             with pytest.raises(ResidualBoundError):
-                solve_poisson(mesh, ONE)
+                solve_fourth_order(mesh, ProblemCoefficients(1e-10), ONE)
 
 
 class TestPipelineAccuracy:
