@@ -7,7 +7,6 @@ with a closed-form oracle and a convergence / timing harness.
 """
 
 from .assembly import (
-    AssembledSystem,
     ProblemCoefficients,
     assemble_cdr,
     assemble_poisson,
@@ -41,7 +40,6 @@ from .oracle import (
     ExactModel,
     exact_f,
     exact_u,
-    exact_w,
     exact_w_polynomial,
     make_exact_model,
 )
@@ -55,11 +53,9 @@ from .solver import (
     solve_poisson,
 )
 from .tridiag import TridiagonalMatrix
-from .tridiag import matvec as tridiag_matvec
 from .tridiag import solve as tridiag_solve
 
 __all__ = [
-    "AssembledSystem",
     "DecoupledSolution",
     "ExactModel",
     "FemSolution",
@@ -85,7 +81,6 @@ __all__ = [
     "convergence_rate",
     "exact_f",
     "exact_u",
-    "exact_w",
     "exact_w_polynomial",
     "load_vector",
     "load_vector_from_solution",
@@ -96,6 +91,5 @@ __all__ = [
     "solve_fourth_order",
     "solve_poisson",
     "timing_scaling",
-    "tridiag_matvec",
     "tridiag_solve",
 ]

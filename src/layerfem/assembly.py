@@ -29,7 +29,7 @@ _GAUSS2_POINTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 @dataclass(frozen=True)
 class ProblemCoefficients:
-    """Constant coefficients eps, a, b with eps in (0, 1], a > 0, b >= 0."""
+    """Constant coefficients eps, a, b with eps in [tiny, 1], a > 0, b >= 0."""
 
     epsilon: float
     a: float = 1.0
@@ -47,14 +47,6 @@ class AssembledSystem:
 
     matrix: TridiagonalMatrix
     mesh: Mesh1D
-
-    def __post_init__(self) -> None:
-        if self.matrix.n != self.mesh.n_interior:
-            raise InvalidParameterError(
-                "matrix",
-                f"dimension {self.matrix.n} != interior node count "
-                f"{self.mesh.n_interior}",
-            )
 
 
 def _stencil(
@@ -108,26 +100,19 @@ def _evaluate(f, x: np.ndarray) -> np.ndarray:
     return np.asarray([float(f(float(v))) for v in x])
 
 
-def load_vector_from_solution(mesh: Mesh1D, w, quadrature: str = "mass") -> np.ndarray:
-    """Entries (w_n, phi_i) for a piecewise-linear w_n given by nodal values.
+def load_vector_from_solution(mesh: Mesh1D, w, quadrature: str = "trapezoid") -> np.ndarray:
+    """Entries w_i (h_i + h_{i+1}) / 2: (w_n, phi_i) by trapezoid quadrature.
 
-    quadrature="mass" integrates the product exactly (tridiagonal mass
-    stencil (h/6)[1, 4, 1] on uniform meshes); "trapezoid" collapses the
-    stencil to nodal collocation, w_i (h_i + h_{i+1}) / 2.
+    w_n is piecewise linear, given by nodal values; the trapezoid rule
+    collapses the mass stencil to nodal collocation.  The exact product is
+    load_vector on the interpolant, np.interp(x, mesh.nodes, w).
     """
     v = np.ascontiguousarray(getattr(w, "values", w), dtype=float)
     if v.shape != mesh.nodes.shape:
         raise InvalidParameterError(
             "w", f"expected {mesh.nodes.shape[0]} nodal values, got {v.shape}"
         )
+    if quadrature != "trapezoid":
+        raise InvalidParameterError("quadrature", f"must be 'trapezoid', got {quadrature!r}")
     h = mesh.element_lengths
-    if quadrature == "mass":
-        return (
-            h[:-1] / 6.0 * (v[:-2] + 2.0 * v[1:-1])
-            + h[1:] / 6.0 * (2.0 * v[1:-1] + v[2:])
-        )
-    if quadrature == "trapezoid":
-        return v[1:-1] * (h[:-1] + h[1:]) / 2.0
-    raise InvalidParameterError(
-        "quadrature", f"must be 'mass' or 'trapezoid', got {quadrature!r}"
-    )
+    return v[1:-1] * (h[:-1] + h[1:]) / 2.0

@@ -7,6 +7,7 @@ takes the field name so each caller reports its own flag or field.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,9 +25,10 @@ class InvalidParameterError(ValueError):
 
 
 def check_epsilon(field: str, value: float) -> None:
-    """The perturbation parameter must lie in (0, 1]."""
-    if not (0.0 < value <= 1.0):
-        raise InvalidParameterError(field, f"must be in (0, 1], got {value}")
+    """eps must lie in [tiny, 1]: at subnormal eps the oracle's root -1/eps overflows."""
+    tiny = sys.float_info.min
+    if not (tiny <= value <= 1.0):
+        raise InvalidParameterError(field, f"must be in [{tiny:.4g}, 1], got {value}")
 
 
 def check_positive(field: str, value: float) -> None:

@@ -88,8 +88,11 @@ class SweepConfig:
             raise InvalidParameterError("n_values", "must be strictly ascending")
         if len(set(self.mesh_kinds)) != len(self.mesh_kinds):
             raise InvalidParameterError("mesh_kinds", "must not repeat")
-        # sigma and alpha obey the mesh's own rule, checked on the first cell
-        ShishkinParams(self.n_values[0], self.epsilons[0], alpha=self.alpha, sigma=self.sigma)
+        try:  # the mesh's own rules, checked on the cell with the finest step
+            ShishkinParams(self.n_values[-1], min(self.epsilons), self.alpha, self.sigma)
+        except InvalidParameterError as exc:  # its epsilon is this config's epsilons
+            field = "epsilons" if exc.field == "epsilon" else exc.field
+            raise InvalidParameterError(field, str(exc).partition(": ")[2]) from None
         check_integer("timing_repeats", self.timing_repeats)
         check_at_least("timing_repeats", self.timing_repeats, 1)
 

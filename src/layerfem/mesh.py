@@ -12,12 +12,14 @@ is always on the left.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import check_at_least, check_epsilon, check_n_intervals, check_positive
+from .errors import InvalidParameterError, check_at_least, check_epsilon, check_n_intervals
+from .errors import check_positive
 
 
 class MeshKind(str, Enum):
@@ -44,6 +46,16 @@ class ShishkinParams:
         check_epsilon("epsilon", self.epsilon)
         check_positive("alpha", self.alpha)
         check_at_least("sigma", self.sigma, 2.0)
+        # stage 1's row sums 4/h overflow at h = tiny; the floor keeps a factor 2
+        step, floor = 2.0 * self.tau / self.n_intervals, 2.0 * sys.float_info.min
+        if step < floor:
+            msg = f"fine step 2 tau/N = {step} (sigma {self.sigma:g}, alpha {self.alpha:g})"
+            raise InvalidParameterError("epsilon", f"{msg} is below {floor:.3g}")
+
+    @property
+    def tau(self) -> float:
+        """Transition point min(1/2, sigma * epsilon * ln(N) / alpha)."""
+        return min(0.5, self.sigma * self.epsilon * math.log(self.n_intervals) / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -60,10 +72,6 @@ class Mesh1D:
     kind: MeshKind
     n_intervals: int
     tau: float | None = None
-
-    @property
-    def n_interior(self) -> int:
-        return self.n_intervals - 1
 
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -89,8 +97,7 @@ def build_uniform(n_intervals: int) -> Mesh1D:
 
 def build_shishkin(params: ShishkinParams) -> Mesh1D:
     """Piecewise-equidistant mesh refined toward the layer at x = 0."""
-    n = params.n_intervals
-    tau = min(0.5, params.sigma * params.epsilon * math.log(n) / params.alpha)
+    n, tau = params.n_intervals, params.tau
     h_fine = 2.0 * tau / n
     h_coarse = 2.0 * (1.0 - tau) / n
     lengths = np.concatenate(

@@ -62,13 +62,6 @@ def exact_u(model: ExactModel, x):
     return out if out.ndim else float(out)
 
 
-def exact_w(x):
-    """Stage-1 exact solution x(1 - x)/2 of -w'' = 1, w(0) = w(1) = 0."""
-    xv = _check_domain(x)
-    out = xv * (1.0 - xv) / 2.0
-    return out if out.ndim else float(out)
-
-
 def exact_f(x):
     """The model source; identically 1."""
     xv = _check_domain(x)

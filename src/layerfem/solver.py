@@ -143,7 +143,7 @@ def _cdr_stage(
     if source.mesh is not mesh and not np.array_equal(source.mesh.nodes, mesh.nodes):
         raise InvalidParameterError("source", "source lives on a different mesh")
     started = time.perf_counter()
-    rhs = load_vector_from_solution(mesh, source, "trapezoid")
+    rhs = load_vector_from_solution(mesh, source)
     system = assemble_cdr(mesh, coeffs)
     # solve is looked up when the stage runs, so a wrapper set on it applies
     return _solve_stage(system, rhs, started, lambda b: solve(system.matrix, b))
@@ -163,8 +163,9 @@ def solve_poisson(mesh: Mesh1D, f) -> FemSolution:
 def solve_cdr(mesh: Mesh1D, coeffs: ProblemCoefficients, source: FemSolution) -> FemSolution:
     """Stage 2: -eps u'' - a u' + b u = w_n with u(0) = u(1) = 0.
 
-    w_n enters by nodal collocation (trapezoid quadrature); exact
-    mass-matrix transfer spoils the observed rates on coarse Shishkin meshes.
+    w_n enters by nodal collocation (trapezoid quadrature,
+    `load_vector_from_solution`).  The exact product, `load_vector` on the
+    interpolant of w_n, spoils the observed rates on coarse Shishkin meshes.
     """
     return _cdr_stage(mesh, coeffs, source)[0]
 

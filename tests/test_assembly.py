@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerfem import (
-    AssembledSystem,
     InvalidParameterError,
     ProblemCoefficients,
     ShishkinParams,
@@ -143,15 +142,6 @@ class TestCdr:
         assert np.allclose(system.matrix.sup, -eps * n - 0.5, atol=1e-13)
 
 
-class TestAssembledSystem:
-    def test_dimension_guard(self):
-        mesh = build_uniform(8)
-        wrong = assemble_poisson(build_uniform(4)).matrix
-        with pytest.raises(InvalidParameterError) as excinfo:
-            AssembledSystem(matrix=wrong, mesh=mesh)
-        assert excinfo.value.field == "matrix"
-
-
 class TestLoadVector:
     def test_constant_source_uniform(self):
         mesh = build_uniform(8)
@@ -197,26 +187,6 @@ class TestLoadVector:
 
 
 class TestLoadVectorFromSolution:
-    def test_plateau_example(self):
-        # nodal values [0, 1, 1, 1, 0] on h = 1/4: first entry 5h/6
-        mesh = build_uniform(4)
-        rhs = load_vector_from_solution(mesh, np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
-        h = 0.25
-        assert rhs[0] == pytest.approx(5.0 * h / 6.0, rel=1e-14)
-        assert rhs[1] == pytest.approx(h, rel=1e-14)
-        assert rhs[2] == pytest.approx(5.0 * h / 6.0, rel=1e-14)
-
-    def test_matches_gauss_on_interpolant(self):
-        # Gauss-2 is exact on the product of two piecewise linears, so
-        # feeding the interpolant through load_vector must reproduce the
-        # mass-quadrature path.
-        mesh = build_shishkin(ShishkinParams(n_intervals=16, epsilon=1e-6))
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(mesh.nodes.shape[0])
-        direct = load_vector_from_solution(mesh, v, quadrature="mass")
-        via_gauss = load_vector(mesh, lambda x: np.interp(x, mesh.nodes, v))
-        assert np.allclose(direct, via_gauss, rtol=1e-12, atol=1e-15)
-
     def test_trapezoid_collocates(self):
         mesh = build_shishkin(ShishkinParams(n_intervals=8, epsilon=1e-8))
         v = mesh.nodes * (1.0 - mesh.nodes)
@@ -235,9 +205,10 @@ class TestLoadVectorFromSolution:
 
     def test_rejects_unknown_quadrature(self):
         mesh = build_uniform(4)
-        with pytest.raises(InvalidParameterError) as excinfo:
-            load_vector_from_solution(mesh, np.zeros(5), quadrature="simpson")
-        assert excinfo.value.field == "quadrature"
+        for quadrature in ("simpson", "mass"):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                load_vector_from_solution(mesh, np.zeros(5), quadrature=quadrature)
+            assert excinfo.value.field == "quadrature"
 
     def test_rejects_length_mismatch(self):
         mesh = build_uniform(4)

@@ -90,13 +90,27 @@ class TestSolve:
         assert main(["solve", "--n", "7"]) == 2
         assert "n_intervals" in capsys.readouterr().err
 
-    def test_nonfinite_coefficient_names_its_flag(self, capsys):
-        for flags, field in [
-            (["--a", "inf"], "a"),
-            (["--mesh", "uniform", "--alpha", "nan"], "alpha"),
+    def test_nonfinite_coefficient_names_its_flag(self, tmp_path, capsys):
+        # also an epsilon below the smallest normal float, and a Shishkin fine
+        # step 2 tau/N below 2 tiny, on either mesh kind
+        out = tmp_path / "out.csv"
+        uniform = ["--mesh", "uniform"]
+        sweep = ["sweep", "--jobs", "1"]
+        for argv, field in [
+            (["solve", "--n", "8", "--a", "inf"], "a"),
+            (["solve", "--n", "8", *uniform, "--alpha", "nan"], "alpha"),
+            ([*sweep, "--epsilon", "1e-320", "--n", "8", *uniform], "epsilons"),
+            (["solve", "--epsilon", "5e-324", "--n", "8", *uniform], "epsilon"),
+            (["mesh-dump", "--epsilon", "5e-324", "--n", "8"], "epsilon"),
+            (["solve", "--epsilon", "5e-324", "--n", "8"], "epsilon"),
+            (["solve", "--epsilon", "1e-307", "--n", "1024"], "epsilon"),
+            (["solve", "--epsilon", "1e-307", "--n", "1024", *uniform], "epsilon"),
+            ([*sweep, "--epsilon", "1e-2,1e-307", "--n", "8,1024"], "epsilons"),
+            (["solve", "--alpha", "1e300", "--n", "8"], "epsilon"),
         ]:
-            assert main(["solve", "--n", "8", *flags]) == 2
+            assert main([*argv, "--output", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {field}:")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilon", "1e-2"]])
     def test_sigma_checked_on_uniform_mesh(self, command, capsys):

@@ -136,6 +136,9 @@ class TestSweepConfig:
                 "alpha",
             ),
             ({"epsilons": ("x",), "n_values": (8,)}, "epsilons"),
+            ({"epsilons": (5e-324,), "n_values": (8,)}, "epsilons"),
+            # fine step 2 tau/N below 2 tiny only in the last cell
+            ({"epsilons": (1e-2, 1e-307), "n_values": (8, 1024)}, "epsilons"),
         ],
     )
     def test_validation(self, kwargs, field):

@@ -74,6 +74,9 @@ class TestShishkin:
             (dict(n_intervals=8, epsilon=1e-3, sigma=1.5), "sigma"),
             (dict(n_intervals=8, epsilon=1e-3, alpha=math.inf), "alpha"),
             (dict(n_intervals=8, epsilon=1e-3, sigma=math.inf), "sigma"),
+            (dict(n_intervals=8, epsilon=5e-324), "epsilon"),
+            (dict(n_intervals=1024, epsilon=1e-307), "epsilon"),
+            (dict(n_intervals=8, epsilon=1e-8, alpha=1e300), "epsilon"),
         ],
     )
     def test_validation_names_offending_field(self, kwargs, field):
@@ -84,7 +87,12 @@ class TestShishkin:
 class TestBuildMesh:
     @pytest.mark.parametrize("kind", list(MeshKind))
     @pytest.mark.parametrize(
-        "kwargs, field", [({"sigma": 1.5}, "sigma"), ({"alpha": math.nan}, "alpha")]
+        "kwargs, field",
+        [
+            ({"sigma": 1.5}, "sigma"),
+            ({"alpha": math.nan}, "alpha"),
+            ({"alpha": 1e306}, "epsilon"),  # fine step 2 tau/N below 2 tiny
+        ],
     )
     def test_shishkin_rule_holds_for_every_kind(self, kind, kwargs, field):
         with pytest.raises(InvalidParameterError) as excinfo:

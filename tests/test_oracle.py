@@ -15,7 +15,6 @@ from layerfem import (
     InvalidParameterError,
     exact_f,
     exact_u,
-    exact_w,
     exact_w_polynomial,
     make_exact_model,
 )
@@ -152,9 +151,9 @@ class TestSubstitution:
 
 class TestAuxiliaryFunctions:
     def test_w_values(self):
-        assert exact_w(0.0) == 0.0
-        assert exact_w(1.0) == 0.0
-        assert exact_w(0.5) == 0.125
+        assert exact_w_polynomial((1.0,), 0.0) == 0.0
+        assert exact_w_polynomial((1.0,), 1.0) == 0.0
+        assert exact_w_polynomial((1.0,), 0.5) == 0.125
 
     def test_f_is_one(self):
         x = np.linspace(0.0, 1.0, 11)
@@ -166,11 +165,11 @@ class TestAuxiliaryFunctions:
         with pytest.raises(InvalidParameterError, match="x"):
             exact_u(model, -0.1)
         with pytest.raises(InvalidParameterError, match="x"):
-            exact_w(np.array([0.5, 1.2]))
+            exact_w_polynomial((1.0,), np.array([0.5, 1.2]))
 
     def test_polynomial_w_matches_constant_source(self):
         x = np.linspace(0.0, 1.0, 33)
-        assert np.allclose(exact_w_polynomial([1.0], x), exact_w(x), atol=1e-15)
+        assert np.allclose(exact_w_polynomial([1.0], x), x * (1.0 - x) / 2.0, atol=1e-15)
 
     @given(
         coeffs=st.lists(

@@ -1,5 +1,9 @@
 """Two-stage pipeline: exactness, accuracy pins, linearity, and guards."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,3 +254,18 @@ def test_pipeline_is_linear_in_the_source(scale, eps, n):
     reference = float(np.max(np.abs(base.u.values)))
     gap = float(np.max(np.abs(scaled.u.values - scale * base.u.values)))
     assert gap <= 1e-12 * scale * reference + 1e-15
+
+
+@pytest.mark.parametrize("kind", ["uniform", "shishkin"])
+def test_make_reference_composes_the_pipeline(kind, monkeypatch):
+    """perfbench/make_reference.py builds the stages from the public API, ungated."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "make_reference.py"
+    spec = importlib.util.spec_from_file_location("make_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    spec.loader.exec_module(module)
+    mesh = build_mesh(kind, 64, 1e-8)
+    w, u = module.ungated_solution(mesh, 1e-8)
+    assert np.isfinite(w).all() and np.isfinite(u).all()
+    gated = solve_fourth_order(mesh, ProblemCoefficients(epsilon=1e-8), ONE)
+    assert float(np.max(np.abs(u - gated.u.values))) <= 1e-13

@@ -9,9 +9,9 @@ from layerfem import (
     InvalidParameterError,
     SingularSystemError,
     TridiagonalMatrix,
-    tridiag_matvec,
     tridiag_solve,
 )
+from layerfem.tridiag import matvec
 
 
 def to_dense(m: TridiagonalMatrix) -> np.ndarray:
@@ -110,21 +110,21 @@ class TestSolve:
 class TestMatvec:
     def test_second_difference_on_ones(self):
         m = TridiagonalMatrix(sub=-np.ones(2), diag=2.0 * np.ones(3), sup=-np.ones(2))
-        assert np.array_equal(tridiag_matvec(m, np.ones(3)), [1.0, 0.0, 1.0])
+        assert np.array_equal(matvec(m, np.ones(3)), [1.0, 0.0, 1.0])
 
     def test_zero_vector(self):
         m = TridiagonalMatrix(sub=np.ones(2), diag=np.ones(3), sup=np.ones(2))
-        assert np.array_equal(tridiag_matvec(m, np.zeros(3)), np.zeros(3))
+        assert np.array_equal(matvec(m, np.zeros(3)), np.zeros(3))
 
     def test_identity(self):
         m = TridiagonalMatrix(sub=np.zeros(3), diag=np.ones(4), sup=np.zeros(3))
         x = np.array([1.0, -2.0, 3.0, 4.0])
-        assert np.array_equal(tridiag_matvec(m, x), x)
+        assert np.array_equal(matvec(m, x), x)
 
     def test_dimension_mismatch(self):
         m = TridiagonalMatrix(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
         with pytest.raises(InvalidParameterError, match="x"):
-            tridiag_matvec(m, np.ones(2))
+            matvec(m, np.ones(2))
 
 
 @given(
@@ -136,6 +136,6 @@ def test_solve_matvec_round_trip(n, seed):
     rng = np.random.default_rng(seed)
     m = random_dominant(rng, n)
     x_true = rng.uniform(-10.0, 10.0, n)
-    recovered = tridiag_solve(m, tridiag_matvec(m, x_true))
+    recovered = tridiag_solve(m, matvec(m, x_true))
     denom = max(1.0, float(np.max(np.abs(x_true))))
     assert float(np.max(np.abs(recovered - x_true))) / denom < 1e-10
