@@ -20,7 +20,6 @@ from .errors import (
     SingularSystemError,
 )
 from .experiments import (
-    Measurement,
     RunRecord,
     SweepConfig,
     convergence_rate,
@@ -60,7 +59,6 @@ __all__ = [
     "ExactModel",
     "FemSolution",
     "InvalidParameterError",
-    "Measurement",
     "Mesh1D",
     "MeshKind",
     "NumericalFailure",

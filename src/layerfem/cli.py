@@ -21,8 +21,8 @@ import numpy as np
 from ._csvwriter import write_csv
 from .assembly import ProblemCoefficients
 from .errors import InvalidParameterError, NumericalFailure
-from .experiments import Measurement, SweepConfig, run_sweep
-from .mesh import MeshKind, ShishkinParams, build_mesh
+from .experiments import SweepConfig, run_sweep
+from .mesh import MeshKind, ShishkinParams, build_mesh, build_shishkin
 from .oracle import exact_u, exact_w_polynomial, make_exact_model
 from .solver import solve_fourth_order
 
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int, default=32)
     solve.add_argument("--mesh", choices=_MESH_NAMES, default=MeshKind.SHISHKIN.value)
     solve.add_argument("--sigma", type=float, default=ShishkinParams.sigma)
-    solve.add_argument("--alpha", type=float, default=ShishkinParams.alpha)
     solve.add_argument("--a", type=float, default=ProblemCoefficients.a)
     solve.add_argument("--b", type=float, default=ProblemCoefficients.b)
     solve.add_argument(
@@ -84,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_list(float),
         default=(1.0,),
         metavar="c0,c1,c2",
-        help="polynomial source coefficients, ascending; default is f = 1",
+        help="polynomial source coefficients, ascending; default is f = 1; "
+        "write a negative first coefficient as --f-poly=-1,2",
     )
     solve.add_argument("--output", default=None)
 
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--mesh", dest="mesh_kinds", type=mesh_kinds, metavar=_SWEEP_MESHES)
     sweep.add_argument("--sigma", type=float)
-    sweep.add_argument("--alpha", type=float)
-    sweep.add_argument("--measurement", choices=[m.value for m in Measurement])
     sweep.add_argument("--timing-repeats", type=int)
     sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sweep.add_argument("--output", default=None)
@@ -140,7 +138,7 @@ def _fmt(value: float) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     coeffs = ProblemCoefficients(epsilon=args.epsilon, a=args.a, b=args.b)
-    mesh = build_mesh(args.mesh, args.n, args.epsilon, args.sigma, args.alpha)
+    mesh = build_mesh(args.mesh, args.n, coeffs, args.sigma)
 
     def f(x):
         return sum(c * np.asarray(x, dtype=float) ** k for k, c in enumerate(args.f_poly))
@@ -210,7 +208,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_mesh_dump(args: argparse.Namespace) -> int:
-    mesh = build_mesh(MeshKind.SHISHKIN, args.n, args.epsilon, args.sigma, args.alpha)
+    mesh = build_shishkin(ShishkinParams(args.n, args.epsilon, args.alpha, args.sigma))
     write_csv(
         args.output,
         f"# tau={_fmt(mesh.tau)}\nindex,x",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,11 +26,6 @@ from .solver import FemSolution, solve_fourth_order
 ASSUMPTION_C = 1.0
 
 
-class Measurement(str, Enum):
-    NODES = "nodes"
-    NODES_AND_MIDPOINTS = "nodes+mid"
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One sweep cell: problem size, measured error, rate, and timings."""
@@ -48,7 +42,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A grid of (epsilon, N, mesh kind) cells for the model problem.
+    """A grid of (epsilon, N, mesh kind) cells for the model problem (a = 1).
 
     Rates are chained along ascending N within each (epsilon, kind)
     series and reported only across exact doublings.  Timings are the
@@ -59,8 +53,6 @@ class SweepConfig:
     n_values: tuple[int, ...]
     mesh_kinds: tuple[MeshKind, ...] = (MeshKind.UNIFORM, MeshKind.SHISHKIN)
     sigma: float = ShishkinParams.sigma
-    alpha: float = ShishkinParams.alpha
-    measurement: Measurement = Measurement.NODES
     timing_repeats: int = 5
 
     def __post_init__(self) -> None:
@@ -79,9 +71,6 @@ class SweepConfig:
         object.__setattr__(self, "epsilons", epsilons)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "mesh_kinds", kinds)
-        object.__setattr__(
-            self, "measurement", _member("measurement", Measurement, self.measurement)
-        )
         for e in self.epsilons:
             check_epsilon("epsilons", e)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
@@ -89,7 +78,7 @@ class SweepConfig:
         if len(set(self.mesh_kinds)) != len(self.mesh_kinds):
             raise InvalidParameterError("mesh_kinds", "must not repeat")
         try:  # the mesh's own rules, checked on the cell with the finest step
-            ShishkinParams(self.n_values[-1], min(self.epsilons), self.alpha, self.sigma)
+            ShishkinParams(self.n_values[-1], min(self.epsilons), sigma=self.sigma)
         except InvalidParameterError as exc:  # its epsilon is this config's epsilons
             field = "epsilons" if exc.field == "epsilon" else exc.field
             raise InvalidParameterError(field, str(exc).partition(": ")[2]) from None
@@ -105,19 +94,9 @@ def _member(field: str, kind: type[Enum], value) -> Enum:
         raise InvalidParameterError(field, f"must be one of {choices}, got {value!r}")
 
 
-def max_error(
-    u_n: FemSolution,
-    model: ExactModel,
-    measurement: Measurement = Measurement.NODES,
-) -> float:
-    """Sup-norm deviation of u_n from the exact u at the measurement points."""
-    nodes = u_n.mesh.nodes
-    err = float(np.max(np.abs(exact_u(model, nodes) - u_n.values)))
-    if Measurement(measurement) is Measurement.NODES_AND_MIDPOINTS:
-        mid = u_n.mesh.midpoints()
-        fem_mid = 0.5 * (u_n.values[:-1] + u_n.values[1:])
-        err = max(err, float(np.max(np.abs(exact_u(model, mid) - fem_mid))))
-    return err
+def max_error(u_n: FemSolution, model: ExactModel) -> float:
+    """Sup-norm deviation of u_n from the exact u at the mesh nodes."""
+    return float(np.max(np.abs(exact_u(model, u_n.mesh.nodes) - u_n.values)))
 
 
 def convergence_rate(error_fine: float, error_coarse: float) -> float | None:
@@ -140,8 +119,8 @@ def _run_cell(
     config: SweepConfig, epsilon: float, kind: MeshKind, n: int
 ) -> tuple[float, float, float, bool]:
     """One (epsilon, kind, N) cell: returns error and median stage timings."""
-    mesh = build_mesh(kind, n, epsilon, config.sigma, config.alpha)
     coeffs = ProblemCoefficients(epsilon=epsilon, a=1.0, b=1.0)
+    mesh = build_mesh(kind, n, coeffs, config.sigma)
     model = make_exact_model(epsilon)
     assembly_times = []
     solve_times = []
@@ -149,7 +128,7 @@ def _run_cell(
         result = solve_fourth_order(mesh, coeffs, exact_f)
         assembly_times.append(result.timings.assembly_seconds)
         solve_times.append(result.timings.solve_seconds)
-    error = max_error(result.u, model, config.measurement)
+    error = max_error(result.u, model)
     ok = epsilon <= ASSUMPTION_C / n
     return error, statistics.median(assembly_times), statistics.median(solve_times), ok
 
@@ -171,6 +150,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> list[RunRecord]:
     if jobs == 1:
         outcomes = [_run_cell(config, *c) for c in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, [config] * len(cells), *zip(*cells)))
 

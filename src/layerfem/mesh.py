@@ -15,11 +15,15 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParameterError, check_at_least, check_epsilon, check_n_intervals
 from .errors import check_positive
+
+if TYPE_CHECKING:  # assembly imports this module
+    from .assembly import ProblemCoefficients
 
 
 class MeshKind(str, Enum):
@@ -31,9 +35,10 @@ class MeshKind(str, Enum):
 class ShishkinParams:
     """Parameters of the layer-adapted mesh.
 
-    alpha is the lower bound of the convection coefficient and sigma the
-    mesh constant; sigma >= 2 is required for the interpolation theory
-    behind the (N^-1 ln N)^2 error bound.
+    alpha is the lower bound of the convection coefficient (the constant a
+    of ProblemCoefficients) and sigma the mesh constant; sigma >= 2 is
+    required for the interpolation theory behind the (N^-1 ln N)^2 error
+    bound.
     """
 
     n_intervals: int
@@ -72,9 +77,6 @@ class Mesh1D:
     kind: MeshKind
     n_intervals: int
     tau: float | None = None
-
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -115,11 +117,11 @@ def build_shishkin(params: ShishkinParams) -> Mesh1D:
 
 
 def build_mesh(
-    kind: MeshKind | str, n: int, epsilon: float,
-    sigma: float = ShishkinParams.sigma, alpha: float = ShishkinParams.alpha,
+    kind: MeshKind | str, n: int, coeffs: ProblemCoefficients,
+    sigma: float = ShishkinParams.sigma,
 ) -> Mesh1D:
-    """A mesh of the given kind; epsilon, sigma and alpha are checked for both kinds."""
-    params = ShishkinParams(n_intervals=n, epsilon=epsilon, alpha=alpha, sigma=sigma)
+    """A mesh of the given kind; ShishkinParams(n, eps, a, sigma) is checked for both."""
+    params = ShishkinParams(n, coeffs.epsilon, coeffs.a, sigma)
     if MeshKind(kind) is MeshKind.UNIFORM:
         return build_uniform(n)
     return build_shishkin(params)

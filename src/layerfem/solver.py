@@ -104,9 +104,12 @@ def _solve_stage(
     row_sums = np.abs(matrix.diag)
     row_sums[1:] += np.abs(matrix.sub)
     row_sums[:-1] += np.abs(matrix.sup)
-    # eta <= c u times its denominator, so that b = x = 0 passes and NaN fails
-    bound = BACKWARD_ERROR_BOUND * float(np.max(np.abs(x)) + np.max(np.abs(rhs) / row_sums))
-    residual = float(np.max(np.abs(matvec(matrix, x) - rhs) / row_sums))
+    # eta <= c u times its denominator, so that b = x = 0 passes and NaN fails;
+    # an overflow to inf or NaN fails the test below, so it need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.max(np.abs(x)) + np.max(np.abs(rhs) / row_sums))
+        bound *= BACKWARD_ERROR_BOUND
+        residual = float(np.max(np.abs(matvec(matrix, x) - rhs) / row_sums))
     if not residual <= bound:
         raise ResidualBoundError(residual, bound)
     solved = time.perf_counter()

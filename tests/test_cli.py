@@ -78,6 +78,29 @@ class TestSolve:
         # -w'' = x^2, w(0) = w(1) = 0  =>  w = (x - x^4) / 12
         assert np.allclose(w_exact, (x - x**4) / 12.0, atol=1e-15)
         assert float(np.max(np.abs(w_exact - w_fem))) <= 1e-12
+        # a negative first coefficient needs the = form; "--f-poly -1,2" reads as a flag
+        assert main(["solve", "--n", "8", "--f-poly=-1,2", "--output", str(out)]) == 0
+        nodes = build_mesh("shishkin", 8, ProblemCoefficients(1e-8)).nodes
+        w_exact = [float(f"{w:.10e}") for w in exact_w_polynomial((-1.0, 2.0), nodes)]
+        assert np.array_equal(solve_columns(out)[1][:, 3], w_exact)
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-4])
+    @pytest.mark.parametrize("a", [0.1, 1.0, 4.0])
+    def test_shishkin_mesh_follows_convection_coefficient(self, a, epsilon, tmp_path):
+        # -eps u'' - a u' = x (1 - x) / 2, u(0) = u(1) = 0: stage 2 with b = 0, f = 1
+        out = tmp_path / "solve.csv"
+        argv = ["solve", "--mesh", "shishkin", "--b", "0", "--n", "1024",
+                "--a", str(a), "--epsilon", str(epsilon), "--output", str(out)]
+        assert main(argv) == 0
+        _, body = solve_columns(out)
+        x, u_fem = body[:, 0], body[:, 2]
+        c = (0.5 + epsilon / a) / a
+
+        def p(x):
+            return x**3 / (6 * a) - c * x**2 / 2 + epsilon * c / a * x
+
+        u = p(x) - p(1.0) * np.expm1(-a * x / epsilon) / np.expm1(-a / epsilon)
+        assert float(np.max(np.abs(u_fem - u))) <= 1e-4 * float(np.max(np.abs(u)))
 
     def test_nonmodel_coefficients_blank_exact_u(self, tmp_path):
         out = tmp_path / "solve.csv"
@@ -98,7 +121,6 @@ class TestSolve:
         sweep = ["sweep", "--jobs", "1"]
         for argv, field in [
             (["solve", "--n", "8", "--a", "inf"], "a"),
-            (["solve", "--n", "8", *uniform, "--alpha", "nan"], "alpha"),
             ([*sweep, "--epsilon", "1e-320", "--n", "8", *uniform], "epsilons"),
             (["solve", "--epsilon", "5e-324", "--n", "8", *uniform], "epsilon"),
             (["mesh-dump", "--epsilon", "5e-324", "--n", "8"], "epsilon"),
@@ -106,7 +128,9 @@ class TestSolve:
             (["solve", "--epsilon", "1e-307", "--n", "1024"], "epsilon"),
             (["solve", "--epsilon", "1e-307", "--n", "1024", *uniform], "epsilon"),
             ([*sweep, "--epsilon", "1e-2,1e-307", "--n", "8,1024"], "epsilons"),
-            (["solve", "--alpha", "1e300", "--n", "8"], "epsilon"),
+            (["solve", "--a", "1e300", "--n", "8"], "epsilon"),
+            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8"], "epsilon"),
+            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8", *uniform], "epsilon"),
         ]:
             assert main([*argv, "--output", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {field}:")
@@ -118,9 +142,19 @@ class TestSolve:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: sigma:")
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_nonfinite_source_is_a_numerical_failure(self, value, capsys):
-        assert main(["solve", "--n", "8", "--f-poly", value]) == 4
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ["--n", "8", "--f-poly", "nan"],
+            ["--n", "8", "--f-poly", "inf"],
+            # the gate's bound overflows to inf and its residual to NaN
+            ["--epsilon", "9.63e-25", "--n", "1000", "--mesh", "uniform", "--a", "4.34e-263",
+             "--b", "0", "--f-poly=4.49e34,-1.68e39,7.6e294"],
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_nonfinite_source_is_a_numerical_failure(self, tail, capsys):
+        assert main(["solve", *tail]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
@@ -147,10 +181,9 @@ class TestSolve:
         code = main(["solve", "--n", "4096", "--a", "2", "--b", "0.5",
                      "--f-poly", "0,0,1", "--output", str(target)])
         assert code == 0
-        mesh = build_mesh("shishkin", 4096, 1e-8)
-        result = solve_fourth_order(
-            mesh, ProblemCoefficients(epsilon=1e-8, a=2.0, b=0.5), lambda x: x**2
-        )
+        coeffs = ProblemCoefficients(epsilon=1e-8, a=2.0, b=0.5)
+        mesh = build_mesh("shishkin", 4096, coeffs)
+        result = solve_fourth_order(mesh, coeffs, lambda x: x**2)
         columns = [mesh.nodes, np.full(mesh.nodes.shape, np.nan), result.u.values,
                    exact_w_polynomial((0.0, 0.0, 1.0), mesh.nodes), result.w.values]
         assert target.read_bytes() == row_loop([HEADER_SOLVE], columns)
@@ -177,7 +210,7 @@ class TestMeshDump:
         target = tmp_path / "mesh.csv"
         assert main(["mesh-dump", "--epsilon", "1e-6", "--n", "20000",
                      "--output", str(target)]) == 0
-        mesh = build_mesh("shishkin", 20000, 1e-6)
+        mesh = build_mesh("shishkin", 20000, ProblemCoefficients(1e-6))
         expected = row_loop([f"# tau={mesh.tau:.10e}", "index,x"],
                             [range(len(mesh.nodes)), mesh.nodes])
         assert target.read_bytes() == expected

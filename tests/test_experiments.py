@@ -1,14 +1,18 @@
 """Sweeps: error measures, rates, record layout, and scaling invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layerfem
 from layerfem import (
     FemSolution,
     InvalidParameterError,
-    Measurement,
     MeshKind,
     RunRecord,
     SweepConfig,
@@ -42,23 +46,6 @@ class TestMaxError:
         sol = FemSolution(mesh=mesh, values=exact_u(model, mesh.nodes))
         assert max_error(sol, model) == 0.0
 
-    def test_midpoint_measure_dominates(self):
-        mesh = build_uniform(16)
-        model = make_exact_model(1e-2)
-        sol = FemSolution(mesh=mesh, values=exact_u(model, mesh.nodes))
-        at_nodes = max_error(sol, model, Measurement.NODES)
-        with_mid = max_error(sol, model, Measurement.NODES_AND_MIDPOINTS)
-        assert with_mid >= at_nodes
-        assert with_mid > 0.0  # interpolation error is visible off the nodes
-
-    def test_accepts_measurement_string(self):
-        mesh = build_uniform(8)
-        model = make_exact_model(0.5)
-        sol = FemSolution(mesh=mesh, values=exact_u(model, mesh.nodes))
-        assert max_error(sol, model, "nodes+mid") == max_error(
-            sol, model, Measurement.NODES_AND_MIDPOINTS
-        )
-
 
 class TestConvergenceRate:
     def test_reference_pair(self):
@@ -87,10 +74,8 @@ class TestSweepConfig:
             epsilons=[1e-8],
             n_values=[8, 16],
             mesh_kinds=["shishkin"],
-            measurement="nodes+mid",
         )
         assert config.mesh_kinds == (MeshKind.SHISHKIN,)
-        assert config.measurement is Measurement.NODES_AND_MIDPOINTS
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -111,7 +96,7 @@ class TestSweepConfig:
                 "mesh_kinds",
             ),
             ({"epsilons": (1e-8,), "n_values": (8,), "sigma": 1.5}, "sigma"),
-            ({"epsilons": (1e-8,), "n_values": (8,), "alpha": 0.0}, "alpha"),
+            ({"epsilons": (1e-8,), "n_values": ()}, "n_values"),
             (
                 {"epsilons": (1e-8,), "n_values": (8,), "timing_repeats": 0},
                 "timing_repeats",
@@ -119,7 +104,7 @@ class TestSweepConfig:
             ({"epsilons": (1e-2,), "n_values": (8.5,)}, "n_values"),
             ({"epsilons": (1e-8,), "n_values": (8,), "mesh_kinds": ("bogus",)}, "mesh_kinds"),
             ({"epsilons": (1e-8,), "n_values": (8,), "mesh_kinds": "uniform"}, "mesh_kinds"),
-            ({"epsilons": (1e-8,), "n_values": (8,), "measurement": "bogus"}, "measurement"),
+            ({"epsilons": (math.nan,), "n_values": (8,)}, "epsilons"),
             (
                 {"epsilons": (1e-8,), "n_values": (8,), "timing_repeats": 1.7},
                 "timing_repeats",
@@ -131,9 +116,9 @@ class TestSweepConfig:
                     "epsilons": (1e-8,),
                     "n_values": (8,),
                     "mesh_kinds": ("uniform",),
-                    "alpha": math.nan,
+                    "sigma": math.nan,
                 },
-                "alpha",
+                "sigma",
             ),
             ({"epsilons": ("x",), "n_values": (8,)}, "epsilons"),
             ({"epsilons": (5e-324,), "n_values": (8,)}, "epsilons"),
@@ -203,6 +188,16 @@ class TestRunSweep:
             assert a.max_error == b.max_error
             assert a.rate == b.rate
             assert a.assumption_ok == b.assumption_ok
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only jobs > 1 needs the pool; loading multiprocessing costs every import
+        src = str(Path(layerfem.__file__).resolve().parents[1])
+        code = "import sys, layerfem; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_rejects_bad_jobs(self):
         config = SweepConfig(epsilons=(1e-8,), n_values=(8,), timing_repeats=1)

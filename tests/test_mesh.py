@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from layerfem import (
     InvalidParameterError,
     MeshKind,
+    ProblemCoefficients,
     ShishkinParams,
     build_mesh,
     build_shishkin,
@@ -90,13 +91,14 @@ class TestBuildMesh:
         "kwargs, field",
         [
             ({"sigma": 1.5}, "sigma"),
-            ({"alpha": math.nan}, "alpha"),
-            ({"alpha": 1e306}, "epsilon"),  # fine step 2 tau/N below 2 tiny
+            ({"sigma": math.nan}, "sigma"),
+            ({"a": 1e306}, "epsilon"),  # alpha = a: fine step 2 tau/N below 2 tiny
         ],
     )
     def test_shishkin_rule_holds_for_every_kind(self, kind, kwargs, field):
+        coeffs = ProblemCoefficients(1e-3, a=kwargs.get("a", 1.0))
         with pytest.raises(InvalidParameterError) as excinfo:
-            build_mesh(kind, 8, 1e-3, **kwargs)
+            build_mesh(kind, 8, coeffs, kwargs.get("sigma", ShishkinParams.sigma))
         assert excinfo.value.field == field
 
 

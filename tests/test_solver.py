@@ -103,7 +103,7 @@ class TestStageOne:
     )
     def test_backward_stable_on_hard_sources(self, f, kind, n):
         # summing element fluxes instead reads 5.3u to 5.4e9u on these
-        mesh = build_mesh(kind, n, 1e-10)
+        mesh = build_mesh(kind, n, ProblemCoefficients(1e-10))
         w = solve_poisson(mesh, f)
         assert row_scaled_backward_error(
             assemble_poisson(mesh).matrix, w.values[1:-1], load_vector(mesh, f)
@@ -264,7 +264,7 @@ def test_make_reference_composes_the_pipeline(kind, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
     spec.loader.exec_module(module)
-    mesh = build_mesh(kind, 64, 1e-8)
+    mesh = build_mesh(kind, 64, ProblemCoefficients(1e-8))
     w, u = module.ungated_solution(mesh, 1e-8)
     assert np.isfinite(w).all() and np.isfinite(u).all()
     gated = solve_fourth_order(mesh, ProblemCoefficients(epsilon=1e-8), ONE)
