@@ -47,9 +47,7 @@ from .solver import (
     FemSolution,
     PipelineTimings,
     StageTimings,
-    solve_cdr,
     solve_fourth_order,
-    solve_poisson,
 )
 from .tridiag import TridiagonalMatrix
 from .tridiag import solve as tridiag_solve
@@ -85,9 +83,7 @@ __all__ = [
     "make_exact_model",
     "max_error",
     "run_sweep",
-    "solve_cdr",
     "solve_fourth_order",
-    "solve_poisson",
     "timing_scaling",
     "tridiag_solve",
 ]

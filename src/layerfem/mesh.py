@@ -67,7 +67,7 @@ class ShishkinParams:
 class Mesh1D:
     """An ordered partition of [0, 1].
 
-    nodes has n_intervals + 1 entries with nodes[0] = 0 and nodes[-1] = 1;
+    nodes has N + 1 entries with nodes[0] = 0 and nodes[-1] = 1;
     element_lengths[k] = nodes[k+1] - nodes[k].  tau is the Shishkin
     transition point and is None for uniform meshes.
     """
@@ -75,7 +75,6 @@ class Mesh1D:
     nodes: np.ndarray
     element_lengths: np.ndarray
     kind: MeshKind
-    n_intervals: int
     tau: float | None = None
 
 
@@ -93,7 +92,6 @@ def build_uniform(n_intervals: int) -> Mesh1D:
         nodes=_freeze(nodes),
         element_lengths=_freeze(np.diff(nodes)),
         kind=MeshKind.UNIFORM,
-        n_intervals=n_intervals,
     )
 
 
@@ -111,7 +109,6 @@ def build_shishkin(params: ShishkinParams) -> Mesh1D:
         nodes=_freeze(nodes),
         element_lengths=_freeze(np.diff(nodes)),
         kind=MeshKind.SHISHKIN,
-        n_intervals=n,
         tau=tau,
     )
 

@@ -27,7 +27,6 @@ from layerfem import (
     make_exact_model,
     run_sweep,
     solve_fourth_order,
-    solve_poisson,
     timing_scaling,
 )
 from layerfem.tridiag import TridiagonalMatrix, matvec, solve
@@ -257,7 +256,8 @@ def test_criterion_9_first_stage_nodal_exactness():
                 mesh = build_uniform(n)
             else:
                 mesh = build_shishkin(ShishkinParams(n_intervals=n, epsilon=1e-8))
-            w = solve_poisson(mesh, lambda x: np.ones_like(x))
+            coeffs = ProblemCoefficients(1e-8)
+            w = solve_fourth_order(mesh, coeffs, lambda x: np.ones_like(x)).w
             exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
             gap = float(np.max(np.abs(w.values - exact)))
             assert gap <= 1e-12, f"N={n} {kind.value}: stage-1 gap {gap:.3e}"

@@ -91,7 +91,7 @@ class TestPoisson:
         mesh = build_shishkin(ShishkinParams(n_intervals=8, epsilon=1e-8))
         system = assemble_poisson(mesh)
         h = mesh.element_lengths
-        i = mesh.n_intervals // 2 - 1  # interior index of the node at tau
+        i = (len(mesh.nodes) - 1) // 2 - 1  # interior index of the node at tau
         assert system.matrix.diag[i] == pytest.approx(1.0 / h[i] + 1.0 / h[i + 1])
         assert system.matrix.sub[i - 1] == pytest.approx(-1.0 / h[i])
         assert system.matrix.sup[i] == pytest.approx(-1.0 / h[i + 1])

@@ -2,13 +2,15 @@
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import layerfem.cli
 import layerfem.solver
 from layerfem import (
     InvalidParameterError,
@@ -25,9 +27,7 @@ from layerfem import (
     load_vector,
     load_vector_from_solution,
     make_exact_model,
-    solve_cdr,
     solve_fourth_order,
-    solve_poisson,
     tridiag_solve,
 )
 from layerfem.tridiag import matvec
@@ -45,6 +45,11 @@ def row_scaled_backward_error(matrix, x, b):
     row_sums[:-1] += np.abs(matrix.sup)
     residual = np.max(np.abs(matvec(matrix, x) - b) / row_sums)
     return float(residual / (np.max(np.abs(x)) + np.max(np.abs(b) / row_sums)))
+
+
+def stage_one(mesh, f):
+    """Stage 1's w, read off a pipeline whose stage 2 (eps = 1) is well conditioned."""
+    return solve_fourth_order(mesh, ProblemCoefficients(1.0), f).w
 
 
 def nodal_error(solution, model):
@@ -75,14 +80,14 @@ class TestStageOne:
     @pytest.mark.parametrize("n", [4, 16, 64, 256, 2**20])
     def test_nodally_exact_uniform(self, n):
         mesh = build_uniform(n)
-        w = solve_poisson(mesh, ONE)
+        w = stage_one(mesh, ONE)
         exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
         assert float(np.max(np.abs(w.values - exact))) <= 1e-12
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
     def test_nodally_exact_shishkin(self, eps):
         mesh = build_shishkin(ShishkinParams(n_intervals=32, epsilon=eps))
-        w = solve_poisson(mesh, ONE)
+        w = stage_one(mesh, ONE)
         exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
         assert float(np.max(np.abs(w.values - exact))) <= 1e-12
 
@@ -90,7 +95,7 @@ class TestStageOne:
     def test_nodally_exact_shishkin_at_largest_n(self, eps):
         # a general Thomas pass over this matrix is off by 4.15e-8 here
         mesh = build_shishkin(ShishkinParams(n_intervals=2**20, epsilon=eps))
-        w = solve_poisson(mesh, ONE)
+        w = stage_one(mesh, ONE)
         exact = mesh.nodes * (1.0 - mesh.nodes) / 2.0
         assert float(np.max(np.abs(w.values - exact))) <= 1e-12
 
@@ -104,44 +109,32 @@ class TestStageOne:
     def test_backward_stable_on_hard_sources(self, f, kind, n):
         # summing element fluxes instead reads 5.3u to 5.4e9u on these
         mesh = build_mesh(kind, n, ProblemCoefficients(1e-10))
-        w = solve_poisson(mesh, f)
+        w = stage_one(mesh, f)
         assert row_scaled_backward_error(
             assemble_poisson(mesh).matrix, w.values[1:-1], load_vector(mesh, f)
         ) <= 4 * 2.0**-53
 
     def test_zero_source(self):
-        w = solve_poisson(build_uniform(16), lambda x: np.zeros_like(x))
+        w = stage_one(build_uniform(16), lambda x: np.zeros_like(x))
         assert np.array_equal(w.values, np.zeros(17))
 
     def test_boundary_pinned(self):
-        w = solve_poisson(build_uniform(16), lambda x: np.exp(x))
+        w = stage_one(build_uniform(16), lambda x: np.exp(x))
         assert w.values[0] == 0.0 and w.values[-1] == 0.0
 
 
 class TestStageTwo:
     def test_zero_source_gives_zero(self):
         mesh = build_uniform(16)
-        zero = FemSolution(mesh=mesh, values=np.zeros(17))
-        u = solve_cdr(mesh, ProblemCoefficients(epsilon=1e-4), zero)
+        zero = lambda x: np.zeros_like(x)  # noqa: E731
+        u = solve_fourth_order(mesh, ProblemCoefficients(epsilon=1e-4), zero).u
         assert np.array_equal(u.values, np.zeros(17))
-
-    def test_mesh_mismatch_rejected(self):
-        source = solve_poisson(build_uniform(16), ONE)
-        with pytest.raises(InvalidParameterError) as excinfo:
-            solve_cdr(build_uniform(32), ProblemCoefficients(epsilon=1e-4), source)
-        assert excinfo.value.field == "source"
-
-    def test_equal_nodes_accepted(self):
-        # same geometry on a distinct object is fine
-        source = solve_poisson(build_uniform(16), ONE)
-        u = solve_cdr(build_uniform(16), ProblemCoefficients(epsilon=1e-2), source)
-        assert np.all(np.isfinite(u.values))
 
     def test_residual_bound_holds(self):
         mesh = build_shishkin(ShishkinParams(n_intervals=64, epsilon=1e-10))
         coeffs = ProblemCoefficients(epsilon=1e-10)
-        w = solve_poisson(mesh, ONE)
-        u = solve_cdr(mesh, coeffs, w)
+        result = solve_fourth_order(mesh, coeffs, ONE)
+        w, u = result.w, result.u
         rhs = load_vector_from_solution(mesh, w, quadrature="trapezoid")
         matrix = assemble_cdr(mesh, coeffs).matrix
         residual = float(np.max(np.abs(matvec(matrix, u.values[1:-1]) - rhs)))
@@ -175,7 +168,7 @@ class TestBackwardErrorGate:
         # because |A| ~ 1/h_fine there
         for mesh in GATE_MESHES:
             with pytest.raises(ResidualBoundError):
-                solve_poisson(mesh, ONE)
+                stage_one(mesh, ONE)
 
     def test_perturbed_stage_two_rejected(self, monkeypatch):
         def off_by_1e_12(matrix, rhs):
@@ -187,6 +180,17 @@ class TestBackwardErrorGate:
         for mesh in GATE_MESHES:
             with pytest.raises(ResidualBoundError):
                 solve_fourth_order(mesh, ProblemCoefficients(1e-10), ONE)
+
+    def test_infinite_solution_rejected(self, monkeypatch):
+        # an inf in x made both the residual and the bound inf, and passed
+        def overflowed(matrix, rhs):
+            x = tridiag_solve(matrix, rhs)
+            x[0] = np.inf
+            return x
+
+        monkeypatch.setattr(layerfem.solver, "solve", overflowed)
+        with pytest.raises(ResidualBoundError):
+            solve_fourth_order(build_uniform(16), ProblemCoefficients(1e-2), ONE)
 
 
 class TestPipelineAccuracy:
@@ -245,6 +249,7 @@ class TestPipelineAccuracy:
     eps=st.sampled_from([1.0, 1e-4, 1e-8]),
     n=st.sampled_from([8, 16, 32]),
 )
+@example(scale=1e308, eps=1e-8, n=8)  # A x overflowed in an unscaled gate
 @settings(deadline=None, max_examples=30)
 def test_pipeline_is_linear_in_the_source(scale, eps, n):
     mesh = build_shishkin(ShishkinParams(n_intervals=n, epsilon=eps))
@@ -269,3 +274,41 @@ def test_make_reference_composes_the_pipeline(kind, monkeypatch):
     assert np.isfinite(w).all() and np.isfinite(u).all()
     gated = solve_fourth_order(mesh, ProblemCoefficients(epsilon=1e-8), ONE)
     assert float(np.max(np.abs(u - gated.u.values))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["uniform", "shishkin"])
+def test_pipeline_peak_memory(kind):
+    """Traced peak of one pipeline at N = 2^16, in units of 8N bytes.
+
+    It reads 22.00.  Running both stages in one function scope keeps stage
+    1's matrix and load alive through stage 2's Thomas sweep, and reads 26.00.
+    """
+    n = 2**16
+    mesh = build_mesh(kind, n, ProblemCoefficients(1e-8))
+    tracemalloc.start()
+    try:
+        solve_fourth_order(mesh, ProblemCoefficients(1e-8), ONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("pipeline_large", {"n": 64}),
+        ("solve_csv", {"n": 64}),
+        ("sweep_tables", {"presets": ("table2",)}),
+    ],
+    ids=["pipeline_large", "solve_csv", "sweep_tables"],
+)
+def test_perfbench_workloads_run_on_the_public_api(name, kwargs, tmp_path, monkeypatch):
+    """Each of perfbench/workloads.py's workloads executes and passes its own check."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    workload = workloads.WORKLOADS[name](**kwargs)
+    for i, op in enumerate(workload.ops):
+        out = tmp_path / f"op{i}.csv"
+        outcome = workload.check(layerfem, op, out, workload.execute(layerfem, op, out))
+        assert outcome.unknowns > 0
