@@ -43,10 +43,9 @@ class ProblemCoefficients:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Interior-node operator and its mesh."""
+    """Interior-node operator."""
 
     matrix: TridiagonalMatrix
-    mesh: Mesh1D
 
 
 def _stencil(
@@ -67,12 +66,12 @@ def _stencil(
 
 def assemble_poisson(mesh: Mesh1D) -> AssembledSystem:
     """Interior operator of (w', v'); on a uniform mesh this is (1/h) S."""
-    return AssembledSystem(_stencil(mesh, 1.0, 0.0, 0.0), mesh)
+    return AssembledSystem(_stencil(mesh, 1.0, 0.0, 0.0))
 
 
 def assemble_cdr(mesh: Mesh1D, coeffs: ProblemCoefficients) -> AssembledSystem:
     """Interior operator of eps (u', v') - a (u', v) + b (u, v)."""
-    return AssembledSystem(_stencil(mesh, coeffs.epsilon, coeffs.a, coeffs.b), mesh)
+    return AssembledSystem(_stencil(mesh, coeffs.epsilon, coeffs.a, coeffs.b))
 
 
 def load_vector(mesh: Mesh1D, f) -> np.ndarray:

@@ -77,4 +77,8 @@ class ResidualBoundError(NumericalFailure):
     def __init__(self, residual: float, bound: float):
         self.residual = residual
         self.bound = bound
-        super().__init__(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
+        if math.isfinite(residual):
+            message = f"solve residual {residual:.3e} exceeds bound {bound:.3e}"
+        else:
+            message = "solution has non-finite entries: the elimination overflowed"
+        super().__init__(message)

@@ -54,13 +54,19 @@ class ShishkinParams:
         # stage 1's row sums 4/h overflow at h = tiny; the floor keeps a factor 2
         step, floor = 2.0 * self.tau / self.n_intervals, 2.0 * sys.float_info.min
         if step < floor:
+            # blame alpha if the step would pass with alpha capped at 1
+            capped = 2.0 * self._tau(min(self.alpha, 1.0)) / self.n_intervals
             msg = f"fine step 2 tau/N = {step} (sigma {self.sigma:g}, alpha {self.alpha:g})"
-            raise InvalidParameterError("epsilon", f"{msg} is below {floor:.3g}")
+            field = "alpha" if capped >= floor else "epsilon"
+            raise InvalidParameterError(field, f"{msg} is below {floor:.3g}")
 
     @property
     def tau(self) -> float:
         """Transition point min(1/2, sigma * epsilon * ln(N) / alpha)."""
-        return min(0.5, self.sigma * self.epsilon * math.log(self.n_intervals) / self.alpha)
+        return self._tau(self.alpha)
+
+    def _tau(self, alpha: float) -> float:
+        return min(0.5, self.sigma * self.epsilon * math.log(self.n_intervals) / alpha)
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,13 @@ def build_mesh(
     sigma: float = ShishkinParams.sigma,
 ) -> Mesh1D:
     """A mesh of the given kind; ShishkinParams(n, eps, a, sigma) is checked for both."""
-    params = ShishkinParams(n, coeffs.epsilon, coeffs.a, sigma)
+    try:
+        params = ShishkinParams(n, coeffs.epsilon, coeffs.a, sigma)
+    except InvalidParameterError as exc:  # its alpha is this problem's a
+        if exc.field != "alpha":
+            raise
+        detail = str(exc).partition(": ")[2]
+        raise InvalidParameterError("a", f"as the Shishkin alpha, {detail}") from None
     if MeshKind(kind) is MeshKind.UNIFORM:
         return build_uniform(n)
     return build_shishkin(params)

@@ -14,12 +14,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .assembly import (
-    AssembledSystem,
     ProblemCoefficients,
     assemble_cdr,
     assemble_poisson,
@@ -28,7 +26,7 @@ from .assembly import (
 )
 from .errors import InvalidParameterError, NumericalFailure, ResidualBoundError
 from .mesh import Mesh1D
-from .tridiag import matvec, solve
+from .tridiag import TridiagonalMatrix, matvec, solve
 
 # Gate: row-scaled backward error.  With D the absolute row sums of A, the
 # normwise eta = |r| / (|A| |x| + |b|) (inf-norms; Rigal & Gaches, J. ACM 14,
@@ -85,23 +83,8 @@ class DecoupledSolution:
     timings: PipelineTimings
 
 
-def _solve_stage(
-    system: AssembledSystem,
-    rhs: np.ndarray,
-    started: float,
-    direct: Callable[[np.ndarray], np.ndarray],
-) -> tuple[FemSolution, StageTimings]:
-    """Solve one assembled stage, gate its backward error, pin the boundary to 0.
-
-    direct(rhs) does the solve.  started is when the stage's assembly
-    began; the solve time includes the gate.  A non-finite rhs, x or
-    residual fails the gate.
-    """
-    assembled = time.perf_counter()
-    if not np.isfinite(rhs).all():
-        raise NumericalFailure("right-hand side has non-finite entries")
-    matrix = system.matrix
-    x = direct(rhs)
+def _gated(matrix: TridiagonalMatrix, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x, once A x = rhs passes the backward-error gate; a non-finite x fails it."""
     row_sums = np.abs(matrix.diag)
     row_sums[1:] += np.abs(matrix.sub)
     row_sums[:-1] += np.abs(matrix.sup)
@@ -117,9 +100,7 @@ def _solve_stage(
         residual = float((np.abs(matvec(matrix, xs) - b) / row_sums).max())
     if not residual <= bound < math.inf:
         raise ResidualBoundError(residual, bound)
-    solved = time.perf_counter()
-    timings = StageTimings(assembled - started, solved - assembled)
-    return FemSolution(mesh=system.mesh, values=np.pad(x, 1)), timings
+    return x
 
 
 def _poisson_direct(mesh: Mesh1D, load: np.ndarray) -> np.ndarray:
@@ -139,22 +120,6 @@ def _poisson_direct(mesh: Mesh1D, load: np.ndarray) -> np.ndarray:
     return xi * np.cumsum((r * mesh.element_lengths[1:] / x[2:])[::-1])[::-1]
 
 
-def _poisson_stage(mesh: Mesh1D, f) -> tuple[FemSolution, StageTimings]:
-    started = time.perf_counter()
-    system, load = assemble_poisson(mesh), load_vector(mesh, f)
-    return _solve_stage(system, load, started, lambda b: _poisson_direct(mesh, b))
-
-
-def _cdr_stage(
-    mesh: Mesh1D, coeffs: ProblemCoefficients, source: FemSolution
-) -> tuple[FemSolution, StageTimings]:
-    started = time.perf_counter()
-    rhs = load_vector_from_solution(mesh, source)
-    system = assemble_cdr(mesh, coeffs)
-    # solve is looked up when the stage runs, so a wrapper set on it applies
-    return _solve_stage(system, rhs, started, lambda b: solve(system.matrix, b))
-
-
 def solve_fourth_order(mesh: Mesh1D, coeffs: ProblemCoefficients, f) -> DecoupledSolution:
     """Solve the fourth-order problem by its two stages on one mesh.
 
@@ -167,6 +132,22 @@ def solve_fourth_order(mesh: Mesh1D, coeffs: ProblemCoefficients, f) -> Decouple
     interpolant of w_n, spoils the observed rates on coarse Shishkin
     meshes.  Each stage is gated on its backward error and timed.
     """
-    w, t_poisson = _poisson_stage(mesh, f)
-    u, t_cdr = _cdr_stage(mesh, coeffs, w)
+    started = time.perf_counter()
+    system, load = assemble_poisson(mesh), load_vector(mesh, f)
+    assembled = time.perf_counter()
+    if not np.isfinite(load).all():
+        raise NumericalFailure("right-hand side has non-finite entries")
+    x = _gated(system.matrix, load, _poisson_direct(mesh, load))
+    t_poisson = StageTimings(assembled - started, time.perf_counter() - assembled)
+    w = FemSolution(mesh, np.pad(x, 1))
+    del system, load, x  # freed before stage 2 allocates
+
+    started = time.perf_counter()
+    # w passed its gate, so it is finite, and so is this rhs
+    rhs = load_vector_from_solution(mesh, w)
+    system = assemble_cdr(mesh, coeffs)
+    assembled = time.perf_counter()
+    x = _gated(system.matrix, rhs, solve(system.matrix, rhs))
+    t_cdr = StageTimings(assembled - started, time.perf_counter() - assembled)
+    u = FemSolution(mesh, np.pad(x, 1))
     return DecoupledSolution(w=w, u=u, timings=PipelineTimings(t_poisson, t_cdr))

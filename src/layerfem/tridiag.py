@@ -3,10 +3,12 @@
 The solver is a single forward-elimination / back-substitution pass
 (Thomas algorithm) without pivoting; the assembled FEM systems here are
 diagonally dominant or positive definite, and a near-zero pivot aborts
-with the offending row instead of propagating NaNs.  The pipeline uses
-it for the convection-diffusion-reaction stage; the Poisson stage runs
-the same elimination with its coefficients in closed form
-(`solver._poisson_direct`), and `matvec` gates both.
+with the offending row instead of propagating NaNs.  The sweep reads the
+bands through memoryviews and writes its pivots and x into two new
+arrays, so it holds two arrays of n floats beyond its inputs.  The
+pipeline uses it for the convection-diffusion-reaction stage; the
+Poisson stage runs the same elimination with its coefficients in closed
+form (`solver._poisson_direct`), and `matvec` gates both.
 """
 
 from __future__ import annotations
@@ -65,29 +67,29 @@ def solve(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     if b.shape != (n,):
         raise InvalidParameterError("rhs", f"expected length {n}, got {b.shape}")
 
-    # Plain Python lists beat per-element ndarray indexing in this
-    # inherently sequential sweep by about 2x.
-    sub = matrix.sub.tolist()
-    sup = matrix.sup.tolist()
-    d = matrix.diag.tolist()
-    r = b.tolist()
+    # zip streams Python floats out of memoryviews of the bands, so no band is
+    # copied; pivots and x are the only arrays the sweep allocates
+    sub, diag, sup, r = map(memoryview, (matrix.sub, matrix.diag, matrix.sup, b))
+    pivots, x = np.empty(n), np.empty(n)
+    d, y = memoryview(pivots), memoryview(x)
 
-    piv = d[0]
+    piv, yi = diag[0], r[0]
     if abs(piv) < PIVOT_FLOOR:
         raise SingularSystemError(0, piv)
-    for i in range(1, n):
-        m = sub[i - 1] / piv
-        piv = d[i] - m * sup[i - 1]
+    d[0], y[0] = piv, yi
+    for i, s, di, u, ri in zip(range(1, n), sub, diag[1:], sup, r[1:]):
+        m = s / piv
+        piv = di - m * u
         if abs(piv) < PIVOT_FLOOR:
             raise SingularSystemError(i, piv)
         d[i] = piv
-        r[i] = r[i] - m * r[i - 1]
+        y[i] = yi = ri - m * yi
 
-    x = r
-    x[n - 1] = r[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (r[i] - sup[i] * x[i + 1]) / d[i]
-    return np.asarray(x, dtype=float)
+    # back-substitution overwrites the eliminated rhs in y with x
+    y[n - 1] = xi = yi / piv
+    for i, yi, u, di in zip(range(n - 2, -1, -1), y[n - 2::-1], sup[::-1], d[n - 2::-1]):
+        y[i] = xi = (yi - u * xi) / di
+    return x
 
 
 def matvec(matrix: TridiagonalMatrix, x: np.ndarray) -> np.ndarray:

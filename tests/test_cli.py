@@ -128,9 +128,12 @@ class TestSolve:
             (["solve", "--epsilon", "1e-307", "--n", "1024"], "epsilon"),
             (["solve", "--epsilon", "1e-307", "--n", "1024", *uniform], "epsilon"),
             ([*sweep, "--epsilon", "1e-2,1e-307", "--n", "8,1024"], "epsilons"),
-            (["solve", "--a", "1e300", "--n", "8"], "epsilon"),
-            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8"], "epsilon"),
-            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8", *uniform], "epsilon"),
+            # the step would pass with a capped at 1, so a is to blame
+            (["solve", "--a", "1e300", "--n", "8"], "a"),
+            (["solve", "--a", "1e300", "--n", "8", *uniform], "a"),
+            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8"], "a"),
+            (["solve", "--epsilon", "1e-300", "--a", "1e10", "--n", "8", *uniform], "a"),
+            (["mesh-dump", "--epsilon", "1e-8", "--n", "8", "--alpha", "1e300"], "alpha"),
         ]:
             assert main([*argv, "--output", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {field}:")
@@ -150,8 +153,10 @@ class TestSolve:
             # the gate's bound overflows to inf and its residual to NaN
             ["--epsilon", "9.63e-25", "--n", "1000", "--mesh", "uniform", "--a", "4.34e-263",
              "--b", "0", "--f-poly=4.49e34,-1.68e39,7.6e294"],
+            # stage 2's Thomas sweep overflows on a finite rhs
+            ["--n", "1024", "--f-poly", "1.7e308"],
         ],
-        ids=["nan", "inf", "overflow"],
+        ids=["nan", "inf", "overflow", "thomas-overflow"],
     )
     def test_nonfinite_source_is_a_numerical_failure(self, tail, capsys):
         assert main(["solve", *tail]) == 4

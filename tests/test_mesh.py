@@ -77,12 +77,14 @@ class TestShishkin:
             (dict(n_intervals=8, epsilon=1e-3, sigma=math.inf), "sigma"),
             (dict(n_intervals=8, epsilon=5e-324), "epsilon"),
             (dict(n_intervals=1024, epsilon=1e-307), "epsilon"),
-            (dict(n_intervals=8, epsilon=1e-8, alpha=1e300), "epsilon"),
+            # the fine step would pass with alpha capped at 1
+            (dict(n_intervals=8, epsilon=1e-8, alpha=1e300), "alpha"),
         ],
     )
     def test_validation_names_offending_field(self, kwargs, field):
-        with pytest.raises(InvalidParameterError, match=field):
+        with pytest.raises(InvalidParameterError) as excinfo:
             ShishkinParams(**kwargs)
+        assert excinfo.value.field == field
 
 
 class TestBuildMesh:
@@ -92,7 +94,7 @@ class TestBuildMesh:
         [
             ({"sigma": 1.5}, "sigma"),
             ({"sigma": math.nan}, "sigma"),
-            ({"a": 1e306}, "epsilon"),  # alpha = a: fine step 2 tau/N below 2 tiny
+            ({"a": 1e306}, "a"),  # alpha = a: fine step 2 tau/N below 2 tiny
         ],
     )
     def test_shishkin_rule_holds_for_every_kind(self, kind, kwargs, field):

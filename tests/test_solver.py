@@ -189,7 +189,7 @@ class TestBackwardErrorGate:
             return x
 
         monkeypatch.setattr(layerfem.solver, "solve", overflowed)
-        with pytest.raises(ResidualBoundError):
+        with pytest.raises(ResidualBoundError, match="solution has non-finite entries"):
             solve_fourth_order(build_uniform(16), ProblemCoefficients(1e-2), ONE)
 
 
@@ -280,8 +280,9 @@ def test_make_reference_composes_the_pipeline(kind, monkeypatch):
 def test_pipeline_peak_memory(kind):
     """Traced peak of one pipeline at N = 2^16, in units of 8N bytes.
 
-    It reads 22.00.  Running both stages in one function scope keeps stage
-    1's matrix and load alive through stage 2's Thomas sweep, and reads 26.00.
+    It reads 9.01.  Keeping stage 1's matrix and load alive through stage 2
+    reads 13.01; the Thomas sweep that boxed its four inputs as Python
+    floats read 22.00.
     """
     n = 2**16
     mesh = build_mesh(kind, n, ProblemCoefficients(1e-8))
@@ -291,7 +292,7 @@ def test_pipeline_peak_memory(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 23 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
+    assert peak <= 10 * 8 * n, f"peak {peak / (8 * n):.2f} x 8N bytes"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tridiagonal storage and the direct solver against a dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 
 from layerfem import (
     InvalidParameterError,
+    ProblemCoefficients,
     SingularSystemError,
     TridiagonalMatrix,
+    assemble_cdr,
+    build_mesh,
     tridiag_solve,
 )
 from layerfem.tridiag import matvec
@@ -90,21 +95,67 @@ class TestSolve:
         assert np.array_equal(m.sup, before[2])
         assert np.array_equal(b, before[3])
 
-    def test_singular_pivot_names_row(self):
-        m = TridiagonalMatrix(
-            sub=np.array([1.0, 1.0]),
-            diag=np.array([1.0, 1.0, 1.0]),
-            sup=np.array([1.0, 1.0]),
-        )
-        # elimination zeroes the second pivot: 1 - (1/1)*1 = 0
+    @pytest.mark.parametrize(
+        "diag, row",
+        [
+            ([0.0, 1.0, 1.0], 0),
+            ([1.0, 1.0, 1.0], 1),  # 1 - (1/1)*1 = 0
+            ([2.0, 1.5, 1.0], 2),  # pivots 2, 1.5 - 1/2 = 1, 1 - 1/1 = 0
+        ],
+        ids=["first", "middle", "last"],
+    )
+    def test_singular_pivot_names_row(self, diag, row):
+        m = TridiagonalMatrix(sub=np.ones(2), diag=np.array(diag), sup=np.ones(2))
         with pytest.raises(SingularSystemError) as err:
             tridiag_solve(m, np.ones(3))
-        assert err.value.row == 1
+        assert err.value.row == row
+        assert err.value.pivot == 0.0
 
     def test_rhs_dimension_mismatch(self):
         m = TridiagonalMatrix(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
         with pytest.raises(InvalidParameterError, match="rhs"):
             tridiag_solve(m, np.ones(4))
+
+
+def reference_thomas(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
+    """The same elimination on Python lists, in the same order of operations."""
+    n = matrix.n
+    sub, sup, d, r = (a.tolist() for a in (matrix.sub, matrix.sup, matrix.diag, rhs))
+    for i in range(1, n):
+        m = sub[i - 1] / d[i - 1]
+        d[i] = d[i] - m * sup[i - 1]
+        r[i] = r[i] - m * r[i - 1]
+    x = r
+    x[n - 1] = r[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (r[i] - sup[i] * x[i + 1]) / d[i]
+    return np.asarray(x)
+
+
+class TestAssembledSystems:
+    @pytest.mark.parametrize("kind", ["uniform", "shishkin"])
+    @pytest.mark.parametrize("eps", [1.0, 1e-4, 1e-10])
+    def test_bit_identical_to_list_thomas(self, kind, eps):
+        # leading blocks of the stage-2 matrix on N = 2^12 + 2, so n = 2^12 + 1
+        coeffs = ProblemCoefficients(eps)
+        full = assemble_cdr(build_mesh(kind, 2**12 + 2, coeffs), coeffs).matrix
+        rhs = np.random.default_rng(7).uniform(-1.0, 1.0, full.n)
+        for n in (1, 2, 7, 2**12, full.n):
+            m = TridiagonalMatrix(sub=full.sub[: n - 1], diag=full.diag[:n], sup=full.sup[: n - 1])
+            assert np.array_equal(tridiag_solve(m, rhs[:n]), reference_thomas(m, rhs[:n])), n
+
+    def test_peak_memory(self):
+        # the sweep allocates only its pivots and x; boxing the bands read 17.0
+        coeffs = ProblemCoefficients(1e-8)
+        m = assemble_cdr(build_mesh("shishkin", 2**16, coeffs), coeffs).matrix
+        n, rhs = m.n, np.ones(m.n)
+        tracemalloc.start()
+        try:
+            tridiag_solve(m, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n bytes"
 
 
 class TestMatvec:
