@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, check_at_least, check_epsilon, check_positive
+from .errors import checked_array
 from .mesh import Mesh1D
 from .tridiag import TridiagonalMatrix
 
@@ -106,11 +107,7 @@ def load_vector_from_solution(mesh: Mesh1D, w, quadrature: str = "trapezoid") ->
     collapses the mass stencil to nodal collocation.  The exact product is
     load_vector on the interpolant, np.interp(x, mesh.nodes, w).
     """
-    v = np.ascontiguousarray(getattr(w, "values", w), dtype=float)
-    if v.shape != mesh.nodes.shape:
-        raise InvalidParameterError(
-            "w", f"expected {mesh.nodes.shape[0]} nodal values, got {v.shape}"
-        )
+    v = checked_array("w", getattr(w, "values", w), mesh.nodes.shape[0])
     if quadrature != "trapezoid":
         raise InvalidParameterError("quadrature", f"must be 'trapezoid', got {quadrature!r}")
     h = mesh.element_lengths

@@ -2,12 +2,16 @@
 
 Every rule a parameter must satisfy is written once here; the check
 takes the field name so each caller reports its own flag or field.
+Besides the scalar rules there are two more: `checked_array` turns an
+array argument into a read-only contiguous float view of a given
+length, and `check_member` maps a choice onto its enum member.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -53,6 +57,27 @@ def check_n_intervals(field: str, value: int) -> None:
     check_integer(field, value)
     if value < 4 or value % 2 != 0:
         raise InvalidParameterError(field, f"must be even and >= 4, got {value}")
+
+
+def checked_array(field: str, value, length: int) -> np.ndarray:
+    """value as a read-only contiguous float array of shape (length,).
+
+    The result is a view, so freezing it leaves the caller's own array
+    writeable.
+    """
+    arr = np.ascontiguousarray(value, dtype=float).view()
+    if arr.shape != (length,):
+        raise InvalidParameterError(field, f"expected length {length}, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def check_member(field: str, enum: type[Enum], value) -> Enum:
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise InvalidParameterError(field, f"must be one of {choices}, got {value!r}")
 
 
 class NumericalFailure(ArithmeticError):

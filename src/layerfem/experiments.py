@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from .errors import (
     check_at_least,
     check_epsilon,
     check_integer,
+    check_member,
     check_n_intervals,
 )
 from .mesh import MeshKind, ShishkinParams, build_mesh
@@ -63,7 +63,7 @@ class SweepConfig:
             object.__setattr__(self, field, value)
         for n in self.n_values:
             check_n_intervals("n_values", n)
-        kinds = tuple(_member("mesh_kinds", MeshKind, k) for k in self.mesh_kinds)
+        kinds = tuple(check_member("mesh_kinds", MeshKind, k) for k in self.mesh_kinds)
         try:
             epsilons = tuple(float(e) for e in self.epsilons)
         except (TypeError, ValueError):
@@ -84,14 +84,6 @@ class SweepConfig:
             raise InvalidParameterError(field, str(exc).partition(": ")[2]) from None
         check_integer("timing_repeats", self.timing_repeats)
         check_at_least("timing_repeats", self.timing_repeats, 1)
-
-
-def _member(field: str, kind: type[Enum], value) -> Enum:
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ", ".join(m.value for m in kind)
-        raise InvalidParameterError(field, f"must be one of {choices}, got {value!r}")
 
 
 def max_error(u_n: FemSolution, model: ExactModel) -> float:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameterError, check_at_least, check_epsilon, check_n_intervals
-from .errors import check_positive
+from .errors import check_member, check_positive, checked_array
 
 if TYPE_CHECKING:  # assembly imports this module
     from .assembly import ProblemCoefficients
@@ -84,19 +84,13 @@ class Mesh1D:
     tau: float | None = None
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def build_uniform(n_intervals: int) -> Mesh1D:
     """Equidistant mesh with h = 1/N."""
     check_n_intervals("n_intervals", n_intervals)
     nodes = np.linspace(0.0, 1.0, n_intervals + 1)
     return Mesh1D(
-        nodes=_freeze(nodes),
-        element_lengths=_freeze(np.diff(nodes)),
+        nodes=checked_array("nodes", nodes, n_intervals + 1),
+        element_lengths=checked_array("element_lengths", np.diff(nodes), n_intervals),
         kind=MeshKind.UNIFORM,
     )
 
@@ -112,8 +106,8 @@ def build_shishkin(params: ShishkinParams) -> Mesh1D:
     nodes = np.concatenate([[0.0], np.cumsum(lengths)])
     nodes[-1] = 1.0  # kill accumulated round-off in the last node
     return Mesh1D(
-        nodes=_freeze(nodes),
-        element_lengths=_freeze(np.diff(nodes)),
+        nodes=checked_array("nodes", nodes, n + 1),
+        element_lengths=checked_array("element_lengths", np.diff(nodes), n),
         kind=MeshKind.SHISHKIN,
         tau=tau,
     )
@@ -131,6 +125,6 @@ def build_mesh(
             raise
         detail = str(exc).partition(": ")[2]
         raise InvalidParameterError("a", f"as the Shishkin alpha, {detail}") from None
-    if MeshKind(kind) is MeshKind.UNIFORM:
+    if check_member("kind", MeshKind, kind) is MeshKind.UNIFORM:
         return build_uniform(n)
     return build_shishkin(params)

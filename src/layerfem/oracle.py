@@ -45,7 +45,7 @@ def make_exact_model(epsilon: float) -> ExactModel:
 
 def _check_domain(x) -> np.ndarray:
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0) or np.any(xv > 1.0):
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):  # so that NaN fails too
         raise InvalidParameterError("x", "points must lie in [0, 1]")
     return xv
 

@@ -24,7 +24,7 @@ from .assembly import (
     load_vector,
     load_vector_from_solution,
 )
-from .errors import InvalidParameterError, NumericalFailure, ResidualBoundError
+from .errors import NumericalFailure, ResidualBoundError, checked_array
 from .mesh import Mesh1D
 from .tridiag import TridiagonalMatrix, matvec, solve
 
@@ -45,15 +45,8 @@ class FemSolution:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # a view, so freezing it leaves the caller's own array writeable
-        v = np.ascontiguousarray(self.values, dtype=float).view()
-        if v.shape != self.mesh.nodes.shape:
-            raise InvalidParameterError(
-                "values",
-                f"expected {self.mesh.nodes.shape[0]} nodal values, got {v.shape}",
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        values = checked_array("values", self.values, self.mesh.nodes.shape[0])
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularSystemError
+from .errors import InvalidParameterError, SingularSystemError, checked_array
 
 PIVOT_FLOOR = 1e-30
 
@@ -31,22 +31,12 @@ class TridiagonalMatrix:
     sup: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("sub", "diag", "sup"):
-            # a view, so freezing it leaves the caller's own array writeable
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.diag.shape[0]
+        n = np.size(self.diag)
+        object.__setattr__(self, "diag", checked_array("diag", self.diag, n))
         if n < 1:
             raise InvalidParameterError("diag", "matrix must have n >= 1")
-        if self.sub.shape != (n - 1,):
-            raise InvalidParameterError(
-                "sub", f"expected length {n - 1}, got {self.sub.shape[0]}"
-            )
-        if self.sup.shape != (n - 1,):
-            raise InvalidParameterError(
-                "sup", f"expected length {n - 1}, got {self.sup.shape[0]}"
-            )
+        for name in ("sub", "sup"):
+            object.__setattr__(self, name, checked_array(name, getattr(self, name), n - 1))
         for name in ("sub", "diag", "sup"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameterError(name, "entries must be finite")
@@ -63,9 +53,7 @@ def solve(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     magnitude, identifying the row.
     """
     n = matrix.n
-    b = np.ascontiguousarray(rhs, dtype=float)
-    if b.shape != (n,):
-        raise InvalidParameterError("rhs", f"expected length {n}, got {b.shape}")
+    b = checked_array("rhs", rhs, n)
 
     # zip streams Python floats out of memoryviews of the bands, so no band is
     # copied; pivots and x are the only arrays the sweep allocates
@@ -95,9 +83,7 @@ def solve(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
 def matvec(matrix: TridiagonalMatrix, x: np.ndarray) -> np.ndarray:
     """y = A x with out-of-range band terms treated as zero."""
     n = matrix.n
-    xv = np.ascontiguousarray(x, dtype=float)
-    if xv.shape != (n,):
-        raise InvalidParameterError("x", f"expected length {n}, got {xv.shape}")
+    xv = checked_array("x", x, n)
     y = matrix.diag * xv
     if n > 1:
         y[1:] += matrix.sub * xv[:-1]

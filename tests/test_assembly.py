@@ -215,3 +215,8 @@ class TestLoadVectorFromSolution:
         with pytest.raises(InvalidParameterError) as excinfo:
             load_vector_from_solution(mesh, np.zeros(4))
         assert excinfo.value.field == "w"
+
+    def test_caller_array_stays_writeable(self):
+        w = np.zeros(5)
+        load_vector_from_solution(build_uniform(4), w)
+        w[0] = 1.0

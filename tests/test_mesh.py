@@ -103,6 +103,11 @@ class TestBuildMesh:
             build_mesh(kind, 8, coeffs, kwargs.get("sigma", ShishkinParams.sigma))
         assert excinfo.value.field == field
 
+    def test_unknown_kind_names_its_field(self):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            build_mesh("foo", 8, ProblemCoefficients(1e-2))
+        assert excinfo.value.field == "kind"
+
 
 even_ns = st.integers(min_value=2, max_value=256).map(lambda k: 2 * k)
 epsilons = st.floats(min_value=1e-12, max_value=1.0, allow_nan=False)

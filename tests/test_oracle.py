@@ -165,6 +165,8 @@ class TestAuxiliaryFunctions:
         with pytest.raises(InvalidParameterError, match="x"):
             exact_u(model, -0.1)
         with pytest.raises(InvalidParameterError, match="x"):
+            exact_u(model, np.array([0.5, np.nan]))
+        with pytest.raises(InvalidParameterError, match="x"):
             exact_w_polynomial((1.0,), np.array([0.5, 1.2]))
 
     def test_polynomial_w_matches_constant_source(self):

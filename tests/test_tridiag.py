@@ -44,6 +44,8 @@ class TestConstruction:
             TridiagonalMatrix(sub=np.ones(3), diag=np.ones(3), sup=np.ones(2))
         with pytest.raises(InvalidParameterError, match="sup"):
             TridiagonalMatrix(sub=np.ones(2), diag=np.ones(3), sup=np.ones(3))
+        with pytest.raises(InvalidParameterError, match="diag"):
+            TridiagonalMatrix(sub=[1.0], diag=[[4.0, 1.0], [1.0, 4.0]], sup=[1.0])
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(InvalidParameterError, match="diag"):
@@ -52,7 +54,10 @@ class TestConstruction:
     def test_caller_arrays_stay_writeable(self):
         sub, diag, sup = np.ones(2), np.full(3, 4.0), np.ones(2)
         matrix = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
-        sub[0] = diag[0] = sup[0] = 2.0
+        rhs, x = np.ones(3), np.ones(3)
+        tridiag_solve(matrix, rhs)
+        matvec(matrix, x)
+        sub[0] = diag[0] = sup[0] = rhs[0] = x[0] = 2.0
         for band in (matrix.sub, matrix.diag, matrix.sup):
             with pytest.raises(ValueError):
                 band[0] = 1.0
